@@ -12,19 +12,23 @@ positive definite; the optimal constants are the spectrum edges of ``S``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConstraintViolated, NotBiGFrame, ShapeMismatch
-from .frames import ClassifyReport, FrameBounds, VectorFrame, classify_biframe
+from .frames import ClassifyReport, FrameBounds, VectorFrame, _spectral_verdicts, classify_biframe
 from .gframes import (
     CoefficientSequence,
     GFrameSystem,
+    _check_vector,
+    _split_last_axis,
+    g_synthesis,
     induced_vectors,
     is_g_riesz_basis,
+    stacked_analysis_matrix,
 )
-from .kernel import DEFAULT_TOL, as_vector, hermitian_deviation, inner, operator_norm, solve_pd
+from .kernel import DEFAULT_TOL, CholeskyFactor, as_vector, inner, operator_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,42 +107,29 @@ def bi_g_frame_operator(sys: BiGFrameSystem) -> np.ndarray:
     return out
 
 
-def _classified(sys: BiGFrameSystem, tol: float):
-    """Operator plus report, so callers don't classify twice."""
+@dataclass(frozen=True, eq=False)
+class _PreparedPair:
+    """A pair's verdicts and, for a frame, the Cholesky factor of the
+    Hermitian part H of its operator S, which S* shares. Built once per
+    public call; only :func:`classify_bi_g_frame` sets ``inverse_norm``."""
+
+    sys: BiGFrameSystem
+    report: BiGReport
+    factor: CholeskyFactor | None
+
+
+def _prepare(sys: BiGFrameSystem, tol: float) -> _PreparedPair:
+    """Operator, Hermitian gate, one spectrum and (for frames) one factor:
+    the spectrum edges are both the frame verdict and the factor's gate."""
     op = bi_g_frame_operator(sys)
-    dev = hermitian_deviation(op)
-    if dev > tol:
-        report = BiGReport(
-            is_bessel=False,
-            is_frame=False,
-            is_tight=False,
-            is_parseval=False,
-            bounds=None,
-            hermitian_deviation=dev,
-            inverse_norm=None,
-            tolerance=tol,
-        )
-        return op, report
-    h = 0.5 * (op + op.conj().T)
-    w = np.linalg.eigvalsh(h)
-    lo, hi = float(w[0]), float(w[-1])
-    is_frame = lo > tol * hi
-    is_tight = is_frame and (hi - lo) <= tol * hi
-    is_parseval = is_tight and abs(hi - 1.0) <= tol
-    inverse_norm = None
-    if is_frame:
-        inverse_norm = operator_norm(solve_pd(op, np.eye(sys.dim)))
-    report = BiGReport(
-        is_bessel=True,
-        is_frame=is_frame,
-        is_tight=is_tight,
-        is_parseval=is_parseval,
-        bounds=FrameBounds(lo, hi) if is_frame else None,
-        hermitian_deviation=dev,
-        inverse_norm=inverse_norm,
-        tolerance=tol,
+    dev, besl, frm, tight, pars, bounds = _spectral_verdicts(
+        op, tol, hermitian_gates_bessel=True
     )
-    return op, report
+    report = BiGReport(besl, frm, tight, pars, bounds, dev, None, tol)
+    if not frm:
+        return _PreparedPair(sys, report, None)
+    h = 0.5 * (op + op.conj().T)
+    return _PreparedPair(sys, report, CholeskyFactor.gated(h, bounds.lower, bounds.upper, tol))
 
 
 def classify_bi_g_frame(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> BiGReport:
@@ -151,19 +142,22 @@ def classify_bi_g_frame(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> BiGRep
     explicit solve, so the classical ``<= 1/C`` estimate stays a genuine
     cross-check).
     """
-    _, report = _classified(sys, tol)
-    return report
+    prepared = _prepare(sys, tol)
+    if not prepared.report.is_frame:
+        return prepared.report
+    inverse_norm = operator_norm(prepared.factor.solve(np.eye(sys.dim, dtype=np.complex128)))
+    return replace(prepared.report, inverse_norm=inverse_norm)
 
 
-def _require_frame(sys: BiGFrameSystem, tol: float):
-    op, report = _classified(sys, tol)
-    if not report.is_frame:
+def _require_frame(sys: BiGFrameSystem, tol: float) -> _PreparedPair:
+    prepared = _prepare(sys, tol)
+    if not prepared.report.is_frame:
         raise NotBiGFrame(
             "pair is not a bi-g-frame: "
-            f"hermitian deviation {report.hermitian_deviation:.3e}, tol {tol:.3e}",
-            report=report,
+            f"hermitian deviation {prepared.report.hermitian_deviation:.3e}, tol {tol:.3e}",
+            report=prepared.report,
         )
-    return op, report
+    return prepared
 
 
 def adjoint_identity_check(sys: BiGFrameSystem, tol: float = 1e-12) -> bool:
@@ -181,21 +175,28 @@ def swap(sys: BiGFrameSystem) -> BiGFrameSystem:
     return BiGFrameSystem(sys.gam, sys.lam)
 
 
+def _dual(prepared: _PreparedPair) -> DualPair:
+    """Both dual families from one solve against ``[Lambda^H | Gamma^H]``."""
+    sys = prepared.sys
+    stacked = np.vstack((stacked_analysis_matrix(sys.lam), stacked_analysis_matrix(sys.gam)))
+    solved = prepared.factor.solve(stacked.conj().T)
+    blocks = [x.conj().T for x in _split_last_axis(solved, sys.block_dims * 2)]
+    return DualPair(
+        lam=GFrameSystem(sys.dim, tuple(blocks[: len(sys)])),
+        gam=GFrameSystem(sys.dim, tuple(blocks[len(sys):])),
+    )
+
+
 def canonical_pair(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> DualPair:
     """Blocks ``Lambda_j S^-1`` and ``Gamma_j (S*)^-1``.
 
-    Both reconstruction identities hold against the source pair. Raises
-    ``NotBiGFrame`` when the pair operator is not Hermitian positive
+    Both reconstruction identities hold against the source pair. S and S*
+    share their Hermitian part H, so every block of both families comes
+    from one Cholesky factor of H and one multi-right-hand-side solve.
+    Raises ``NotBiGFrame`` when the pair operator is not Hermitian positive
     definite within ``tol``.
     """
-    op, _ = _require_frame(sys, tol)
-    op_swapped = op.conj().T
-    lam_tilde = tuple(solve_pd(op, b.conj().T).conj().T for b in sys.lam.blocks)
-    gam_tilde = tuple(solve_pd(op_swapped, b.conj().T).conj().T for b in sys.gam.blocks)
-    return DualPair(
-        lam=GFrameSystem(sys.dim, lam_tilde),
-        gam=GFrameSystem(sys.dim, gam_tilde),
-    )
+    return _dual(_require_frame(sys, tol))
 
 
 def reconstruct(sys: BiGFrameSystem, f, variant: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -203,24 +204,24 @@ def reconstruct(sys: BiGFrameSystem, f, variant: int, tol: float = DEFAULT_TOL) 
 
     Variant 1 evaluates ``sum_j Gamma_j* Lambda_j S^-1 f``; variant 2
     evaluates ``sum_j (Gamma_j (S*)^-1)* Lambda_j f``. Both are computed
-    blockwise, not collapsed to ``S S^-1 f``.
+    blockwise, not collapsed to ``S S^-1 f``. The inverse is applied
+    through one Cholesky factor of the Hermitian part of S: to ``f`` in
+    variant 1, and to all of ``Gamma^H`` in one solve in variant 2.
     """
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant!r}")
-    v = as_vector(f)
-    if v.shape[0] != sys.dim:
-        raise ShapeMismatch(f"vector length {v.shape[0]} != dimension {sys.dim}")
-    op, _ = _require_frame(sys, tol)
+    v = _check_vector(sys, f)
+    prepared = _require_frame(sys, tol)
     out = np.zeros(sys.dim, dtype=np.complex128)
     if variant == 1:
-        y = solve_pd(op, v)
+        y = prepared.factor.solve(v)
         for lb, gb in zip(sys.lam.blocks, sys.gam.blocks):
             out += gb.conj().T @ (lb @ y)
     else:
-        op_swapped = op.conj().T
-        for lb, gb in zip(sys.lam.blocks, sys.gam.blocks):
-            # (Gamma_j (S*)^-1)* = (S*)^-1-solve applied to Gamma_j*.
-            out += solve_pd(op_swapped, gb.conj().T) @ (lb @ v)
+        # (Gamma_j (S*)^-1)* = (S*)^-1-solve applied to Gamma_j*.
+        solved = prepared.factor.solve(stacked_analysis_matrix(sys.gam).conj().T)
+        for lb, gt in zip(sys.lam.blocks, _split_last_axis(solved, sys.block_dims)):
+            out += gt @ (lb @ v)
     return out
 
 
@@ -236,34 +237,29 @@ def dual_pair_bessel_check(
     ``S^-1`` analytically), returns its largest eigenvalue together with a
     verdict from ``trials`` random probes checking both
     ``sum_j <Lt_j f, Gt_j f> = <f, (S*)^-1 f>`` and the ``(1/C) ||f||^2``
-    cap, where C is the pair's lower bound.
+    cap, where C is the pair's lower bound. The duals and the probes share
+    one Cholesky factor.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    op, report = _require_frame(sys, tol)
-    lower = report.bounds.lower
-    dual = canonical_pair(sys, tol)
+    prepared = _require_frame(sys, tol)
+    lower = prepared.report.bounds.lower
+    dual = _dual(prepared)
     dual_sys = BiGFrameSystem(dual.lam, dual.gam)
     dual_op = bi_g_frame_operator(dual_sys)
     h = 0.5 * (dual_op + dual_op.conj().T)
     bound = float(np.linalg.eigvalsh(h)[-1])
 
-    op_swapped = op.conj().T
     rng = np.random.default_rng(seed)
     ok = True
     for _ in range(trials):
         f = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
         lhs = pairing_sum(dual_sys, f)
-        rhs = inner(f, solve_pd(op_swapped, f))
+        rhs = inner(f, prepared.factor.solve(f))
         norm_sq = float(np.vdot(f, f).real)
         ok = ok and abs(lhs - rhs) <= tol * (1.0 + abs(rhs))
         ok = ok and lhs.real <= (1.0 / lower) * norm_sq + tol * norm_sq
     return bound, bool(ok)
-
-
-def _stacked_synthesis(family: GFrameSystem) -> np.ndarray:
-    """The n x (sum_j m_j) matrix of the map {g_j} -> sum_j B_j* g_j."""
-    return np.hstack([b.conj().T for b in family.blocks])
 
 
 def solve_synthesis_coefficients(
@@ -273,24 +269,25 @@ def solve_synthesis_coefficients(
 
     For ``side='gamma'`` the constraint is ``f = sum_j Gamma_j* g_j`` and
     the particular solution is ``g_j = Lt_j f`` (dual-analysis
-    coefficients); ``side='lambda'`` swaps the roles. The second return
+    coefficients); ``side='lambda'`` swaps the roles. Since
+    ``Lt_j f = Lambda_j y`` and ``Gt_j f = Gamma_j y`` with ``y = H^-1 f``,
+    H the Hermitian part of S, one solve against ``f`` gives the particular
+    solution; no dual family is formed. The second return
     value is an orthonormal basis of the stacked synthesis map's null
     space, in the order the singular value decomposition yields it, so the
     full solution set is ``particular + span(nullbasis)``.
     """
     if side not in ("gamma", "lambda"):
         raise ValueError(f"side must be 'gamma' or 'lambda', got {side!r}")
-    v = as_vector(f)
-    if v.shape[0] != sys.dim:
-        raise ShapeMismatch(f"vector length {v.shape[0]} != dimension {sys.dim}")
-    dual = canonical_pair(sys, tol)
+    v = _check_vector(sys, f)
+    y = _require_frame(sys, tol).factor.solve(v)
     if side == "gamma":
-        analysis_family, synthesis_family = dual.lam, sys.gam
+        analysis_family, synthesis_family = sys.lam, sys.gam
     else:
-        analysis_family, synthesis_family = dual.gam, sys.lam
-    particular = CoefficientSequence(tuple(b @ v for b in analysis_family.blocks))
+        analysis_family, synthesis_family = sys.gam, sys.lam
+    particular = CoefficientSequence(tuple(b @ y for b in analysis_family.blocks))
 
-    stacked = _stacked_synthesis(synthesis_family)
+    stacked = stacked_analysis_matrix(synthesis_family).conj().T
     _, s, vh = np.linalg.svd(stacked, full_matrices=True)
     rank = int(np.sum(s > tol * s[0])) if s.size else 0
     dims = sys.block_dims
@@ -312,39 +309,37 @@ def coefficient_identity_terms(
         sum_j ||g_j||^2 = sum_j <g_j, g_j - Gt_j f> + sum_j <Lt_j f, Gt_j f>
 
     on the gamma side, and the mirrored first term ``<g_j - Lt_j f, g_j>``
-    on the lambda side. Returns ``(lhs, rhs)`` as (float, complex); raises
+    on the lambda side. Both dual terms need only ``Lt_j f = Lambda_j y``
+    and ``Gt_j f = Gamma_j y`` with ``y = H^-1 f``, so one solve serves
+    them. Returns ``(lhs, rhs)`` as (float, complex); raises
     ``ConstraintViolated`` when ``g`` does not synthesize ``f``.
     """
     if side not in ("gamma", "lambda"):
         raise ValueError(f"side must be 'gamma' or 'lambda', got {side!r}")
-    v = as_vector(f)
-    if v.shape[0] != sys.dim:
-        raise ShapeMismatch(f"vector length {v.shape[0]} != dimension {sys.dim}")
+    v = _check_vector(sys, f)
     if g.block_dims != sys.block_dims:
         raise ShapeMismatch(
             f"coefficient shape {g.block_dims} does not match system {sys.block_dims}"
         )
-    synthesis_family = sys.gam if side == "gamma" else sys.lam
-    synthesized = np.zeros(sys.dim, dtype=np.complex128)
-    for b, part in zip(synthesis_family.blocks, g.parts):
-        synthesized += b.conj().T @ part
+    synthesized = g_synthesis(sys.gam if side == "gamma" else sys.lam, g)
     residual = float(np.linalg.norm(synthesized - v))
     if residual > tol * (1.0 + float(np.linalg.norm(v))):
         raise ConstraintViolated(
             f"coefficients do not synthesize the vector: residual {residual:.3e}"
         )
 
-    dual = canonical_pair(sys, tol)
-    dual_sys = BiGFrameSystem(dual.lam, dual.gam)
-    cross = pairing_sum(dual_sys, v)
+    y = _require_frame(sys, tol).factor.solve(v)
+    lam_y = [b @ y for b in sys.lam.blocks]
+    gam_y = [b @ y for b in sys.gam.blocks]
+    cross = sum(np.vdot(gy, ly) for ly, gy in zip(lam_y, gam_y))
 
     first = 0.0 + 0.0j
     if side == "gamma":
-        for gj, gt in zip(g.parts, dual.gam.blocks):
-            first += inner(gj, gj - gt @ v)
+        for gj, gy in zip(g.parts, gam_y):
+            first += inner(gj, gj - gy)
     else:
-        for gj, lt in zip(g.parts, dual.lam.blocks):
-            first += inner(gj - lt @ v, gj)
+        for gj, ly in zip(g.parts, lam_y):
+            first += inner(gj - ly, gj)
     lhs = float(sum(np.vdot(p, p).real for p in g.parts))
     return lhs, complex(first + cross)
 

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInvertibleController, ShapeMismatch
-from .kernel import DEFAULT_TOL, as_matrix, as_vector, hermitian_deviation, solve_pd
+from .kernel import (
+    DEFAULT_TOL,
+    as_matrix,
+    as_vector,
+    hermitian_deviation,
+    positive_definite,
+    solve_pd,
+)
 
 
 @dataclass(frozen=True)
@@ -116,11 +123,19 @@ def _spectral_verdicts(op: np.ndarray, tol: float, hermitian_gates_bessel: bool)
     h = 0.5 * (op + op.conj().T)
     w = np.linalg.eigvalsh(h)
     lo, hi = float(w[0]), float(w[-1])
-    is_frame = lo > tol * hi
+    is_frame = positive_definite(lo, hi, tol)
     is_tight = is_frame and (hi - lo) <= tol * hi
     is_parseval = is_tight and abs(hi - 1.0) <= tol
     bounds = FrameBounds(lo, hi) if is_frame else None
     return dev, is_bessel, is_frame, is_tight, is_parseval, bounds
+
+
+def _spectral_report(
+    op: np.ndarray, tol: float, hermitian_gates_bessel: bool, is_riesz: bool
+) -> ClassifyReport:
+    """The report of :func:`_spectral_verdicts` on ``op``."""
+    dev, besl, frm, tight, pars, bounds = _spectral_verdicts(op, tol, hermitian_gates_bessel)
+    return ClassifyReport(besl, frm, tight, pars, is_riesz, bounds, dev, tol)
 
 
 def classify_frame(frame: VectorFrame, tol: float = DEFAULT_TOL) -> ClassifyReport:
@@ -130,19 +145,7 @@ def classify_frame(frame: VectorFrame, tol: float = DEFAULT_TOL) -> ClassifyRepo
     ``lambda_min > tol * lambda_max``; tight means the spectrum collapses to
     a point relative to ``tol``, Parseval additionally pins it at 1.
     """
-    dev, besl, frm, tight, pars, bounds = _spectral_verdicts(
-        frame_operator(frame), tol, hermitian_gates_bessel=False
-    )
-    return ClassifyReport(
-        is_bessel=besl,
-        is_frame=frm,
-        is_tight=tight,
-        is_parseval=pars,
-        is_riesz=is_riesz_basis(frame, tol),
-        bounds=bounds,
-        hermitian_deviation=dev,
-        tolerance=tol,
-    )
+    return _spectral_report(frame_operator(frame), tol, False, is_riesz_basis(frame, tol))
 
 
 def canonical_dual(frame: VectorFrame) -> VectorFrame:
@@ -190,19 +193,7 @@ def classify_controlled(sys: ControlledSystem, tol: float = DEFAULT_TOL) -> Clas
     its spectrum edges. ``is_riesz`` refers to the underlying frame.
     """
     op = sys.controller @ frame_operator(sys.frame)
-    dev, besl, frm, tight, pars, bounds = _spectral_verdicts(
-        op, tol, hermitian_gates_bessel=True
-    )
-    return ClassifyReport(
-        is_bessel=besl,
-        is_frame=frm,
-        is_tight=tight,
-        is_parseval=pars,
-        is_riesz=is_riesz_basis(sys.frame, tol),
-        bounds=bounds,
-        hermitian_deviation=dev,
-        tolerance=tol,
-    )
+    return _spectral_report(op, tol, True, is_riesz_basis(sys.frame, tol))
 
 
 def classify_biframe(f: VectorFrame, g: VectorFrame, tol: float = DEFAULT_TOL) -> ClassifyReport:
@@ -217,19 +208,7 @@ def classify_biframe(f: VectorFrame, g: VectorFrame, tol: float = DEFAULT_TOL) -
             f"families do not match: dims {f.dim}/{g.dim}, sizes {len(f)}/{len(g)}"
         )
     op = synthesis_matrix(g) @ synthesis_matrix(f).conj().T
-    dev, besl, frm, tight, pars, bounds = _spectral_verdicts(
-        op, tol, hermitian_gates_bessel=True
-    )
-    return ClassifyReport(
-        is_bessel=besl,
-        is_frame=frm,
-        is_tight=tight,
-        is_parseval=pars,
-        is_riesz=is_riesz_basis(f, tol) and is_riesz_basis(g, tol),
-        bounds=bounds,
-        hermitian_deviation=dev,
-        tolerance=tol,
-    )
+    return _spectral_report(op, tol, True, is_riesz_basis(f, tol) and is_riesz_basis(g, tol))
 
 
 def is_riesz_basis(frame: VectorFrame, tol: float = DEFAULT_TOL) -> bool:

@@ -8,11 +8,12 @@ always reduced in ascending j so results are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .frames import ClassifyReport, VectorFrame, _spectral_verdicts, is_riesz_basis
+from .frames import ClassifyReport, VectorFrame, _spectral_report, is_riesz_basis
 from .kernel import DEFAULT_TOL, as_matrix, as_vector
 
 
@@ -76,13 +77,26 @@ class CoefficientSequence:
 
     @classmethod
     def from_flat(cls, values, block_dims) -> "CoefficientSequence":
-        flat = as_vector(values)
+        """Parts of lengths ``block_dims``: read-only views of one validated
+        copy of ``values``."""
+        flat = np.array(as_vector(values), copy=True)
         if flat.shape[0] != sum(block_dims):
             raise ShapeMismatch(
                 f"flat length {flat.shape[0]} != sum of block dims {sum(block_dims)}"
             )
-        offsets = np.cumsum((0,) + tuple(block_dims))
-        return cls(tuple(flat[offsets[i]:offsets[i + 1]] for i in range(len(block_dims))))
+        if any(m < 1 for m in block_dims):
+            raise ShapeMismatch(f"block dims must be positive, got {tuple(block_dims)}")
+        flat.setflags(write=False)
+        # Skips __post_init__, which would validate and copy each part again.
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "parts", tuple(_split_last_axis(flat, block_dims)))
+        return seq
+
+
+def _split_last_axis(a: np.ndarray, sizes) -> list:
+    """Consecutive slices of the last axis of ``a`` with lengths ``sizes``, as views."""
+    offsets = list(accumulate(sizes, initial=0))
+    return [a[..., x:y] for x, y in zip(offsets, offsets[1:])]
 
 
 def block_inner(c: CoefficientSequence, d: CoefficientSequence) -> complex:
@@ -127,19 +141,7 @@ def g_frame_operator(sys: GFrameSystem) -> np.ndarray:
 
 def classify_g_frame(sys: GFrameSystem, tol: float = DEFAULT_TOL) -> ClassifyReport:
     """Classify from the spectrum edges of the block frame operator."""
-    dev, besl, frm, tight, pars, bounds = _spectral_verdicts(
-        g_frame_operator(sys), tol, hermitian_gates_bessel=False
-    )
-    return ClassifyReport(
-        is_bessel=besl,
-        is_frame=frm,
-        is_tight=tight,
-        is_parseval=pars,
-        is_riesz=is_g_riesz_basis(sys, tol),
-        bounds=bounds,
-        hermitian_deviation=dev,
-        tolerance=tol,
-    )
+    return _spectral_report(g_frame_operator(sys), tol, False, is_g_riesz_basis(sys, tol))
 
 
 def induced_vectors(sys: GFrameSystem) -> VectorFrame:

@@ -63,14 +63,16 @@ def adjoint(m) -> np.ndarray:
 def hermitian_deviation(m) -> float:
     """Relative distance of a square matrix from its adjoint.
 
-    Returns ``||M - M*||_F / max(1, ||M||_F)``, so the value is 0 exactly
-    for Hermitian input and scale-insensitive otherwise.
+    Returns ``||M - M*||_F / ||M||_F`` (0 for the zero matrix): 0 exactly
+    for Hermitian input, and unchanged when ``M`` is rescaled.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise NotSquare(f"deviation needs a square matrix, got {a.shape}")
-    num = np.linalg.norm(a - a.conj().T)
-    return float(num / max(1.0, np.linalg.norm(a)))
+    norm = np.linalg.norm(a)
+    if norm == 0.0:
+        return 0.0
+    return float(np.linalg.norm(a - a.conj().T) / norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +121,39 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def positive_definite(lo: float, hi: float, ratio: float) -> bool:
+    """The positive-definiteness gate on the spectrum edges of a Hermitian
+    matrix: ``lambda_min > ratio * max(lambda_max, 0)``."""
+    return lo > ratio * max(hi, 0.0)
+
+
+@dataclass(frozen=True, eq=False)
+class CholeskyFactor:
+    """Cholesky factor of a Hermitian positive definite matrix ``h``; one
+    factor, built by :meth:`gated`, serves any number of solves."""
+
+    h: np.ndarray
+    factor: tuple
+
+    @classmethod
+    def gated(cls, h: np.ndarray, lo: float, hi: float, ratio: float) -> "CholeskyFactor":
+        """Factor ``h``, whose spectrum edges are ``lo`` and ``hi``; raises
+        ``NotPositiveDefinite`` unless they pass :func:`positive_definite`."""
+        if not positive_definite(lo, hi, ratio):
+            raise NotPositiveDefinite(
+                f"matrix is not positive definite: smallest eigenvalue {lo:.6e} "
+                f"(largest {hi:.6e})",
+                smallest_eigenvalue=lo,
+            )
+        return cls(h, scipy.linalg.cho_factor(h, lower=True, check_finite=False))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``h^-1 b`` for a vector or a matrix of right-hand sides."""
+        x = scipy.linalg.cho_solve(self.factor, b, check_finite=False)
+        # One refinement pass knocks the residual down to ~eps * ||B||.
+        return x + scipy.linalg.cho_solve(self.factor, b - self.h @ x, check_finite=False)
+
+
 def solve_pd(m, b) -> np.ndarray:
     """Solve ``M X = B`` for Hermitian positive definite ``M``.
 
@@ -140,18 +175,6 @@ def solve_pd(m, b) -> np.ndarray:
         raise ShapeMismatch(f"right-hand side shape {rhs.shape} does not match order {n}")
     if not np.isfinite(rhs).all():
         raise ValueError("right-hand side entries must be finite")
-
     h = 0.5 * (a + a.conj().T)
     w = np.linalg.eigvalsh(h)
-    if w[0] <= _PD_RATIO * max(w[-1], 0.0):
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite: smallest eigenvalue {w[0]:.6e} "
-            f"(largest {w[-1]:.6e})",
-            smallest_eigenvalue=float(w[0]),
-        )
-
-    factor = scipy.linalg.cho_factor(h, lower=True, check_finite=False)
-    x = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    # One refinement pass knocks the residual down to ~eps * ||B||.
-    x = x + scipy.linalg.cho_solve(factor, rhs - h @ x, check_finite=False)
-    return x
+    return CholeskyFactor.gated(h, float(w[0]), float(w[-1]), _PD_RATIO).solve(rhs)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bgframes import (
     BiGFrameSystem,
     CoefficientSequence,
     ConstraintViolated,
+    GenSpec,
     GFrameSystem,
     NotBiGFrame,
     ShapeMismatch,
@@ -20,11 +24,15 @@ from bgframes import (
     from_vector_biframe,
     g_frame_operator,
     g_synthesis,
+    gen_bi_g_frame,
+    gen_negative,
     inner,
     lift_to_biframe,
     pairing_sum,
+    random_hermitian_pd,
     reconstruct,
     riesz_transfer_check,
+    solve_pd,
     solve_synthesis_coefficients,
     swap,
 )
@@ -440,3 +448,172 @@ def test_pair_construction_validates_shapes():
     gam_wrong_dim = GFrameSystem(3, (np.array([[1.0, 0.0, 0.0]]),))
     with pytest.raises(ShapeMismatch):
         BiGFrameSystem(lam, gam_wrong_dim)
+
+
+# ---------------------------------------------------------------------------
+# one tolerance, read the same way by every gate
+
+
+def test_frame_gate_reads_the_callers_tol():
+    # S = diag(1, 1e-13): a frame at tol=1e-15, below the solver's 1e-12 default.
+    pair = BiGFrameSystem(
+        GFrameSystem(2, (np.diag([1.0, 1e-13]),)),
+        GFrameSystem(2, (np.eye(2),)),
+    )
+    report = classify_bi_g_frame(pair, tol=1e-15)
+    assert report.is_frame and not report.is_tight
+    assert report.bounds.lower == pytest.approx(1e-13, rel=1e-12)
+    assert report.bounds.upper == pytest.approx(1.0, rel=1e-12)
+    assert report.inverse_norm == pytest.approx(1e13, rel=1e-9)
+    assert not classify_bi_g_frame(pair, tol=1e-12).is_frame
+
+
+PAIR_KINDS = ("prescribed_operator", "rank_deficient", "non_hermitian_pair")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(PAIR_KINDS),
+    seed=st.integers(0, 2**16),
+    exponent=st.floats(-12.0, 12.0),
+)
+@example(kind="non_hermitian_pair", seed=5, exponent=-10.0)
+def test_rescaling_lambda_keeps_verdicts_and_scales_bounds(kind, seed, exponent):
+    spec = GenSpec(4, (2, 2, 2), seed, kind)
+    if kind == "prescribed_operator":
+        pair = gen_bi_g_frame(spec, random_hermitian_pd(4, seed))
+    else:
+        pair = gen_negative(spec)
+    c = 10.0**exponent
+    scaled = BiGFrameSystem(GFrameSystem(4, tuple(c * b for b in pair.lam.blocks)), pair.gam)
+    before, after = classify_bi_g_frame(pair), classify_bi_g_frame(scaled)
+    # Parseval pins the bounds at 1, so it is the one verdict rescaling may change.
+    assert (after.is_bessel, after.is_frame, after.is_tight) == (
+        before.is_bessel,
+        before.is_frame,
+        before.is_tight,
+    )
+    assert after.hermitian_deviation == pytest.approx(before.hermitian_deviation, abs=1e-12)
+    if before.is_frame:
+        assert after.bounds.lower == pytest.approx(c * before.bounds.lower, rel=1e-9)
+        assert after.bounds.upper == pytest.approx(c * before.bounds.upper, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the shared factor against the per-block solves it replaced
+
+
+def _reference_duals(pair):
+    """One ``solve_pd`` per block, against S for Lambda and S* for Gamma."""
+    op = bi_g_frame_operator(pair)
+    lam = [solve_pd(op, b.conj().T).conj().T for b in pair.lam.blocks]
+    gam = [solve_pd(op.conj().T, b.conj().T).conj().T for b in pair.gam.blocks]
+    return lam, gam
+
+
+def _reference_reconstruct(pair, f, variant):
+    op = bi_g_frame_operator(pair)
+    out = np.zeros(pair.dim, dtype=np.complex128)
+    if variant == 1:
+        y = solve_pd(op, f)
+        for lb, gb in zip(pair.lam.blocks, pair.gam.blocks):
+            out += gb.conj().T @ (lb @ y)
+    else:
+        for lb, gb in zip(pair.lam.blocks, pair.gam.blocks):
+            out += solve_pd(op.conj().T, gb.conj().T) @ (lb @ f)
+    return out
+
+
+def _reference_identity_terms(lam_t, gam_t, f, g, side):
+    cross = sum(np.vdot(gt @ f, lt @ f) for lt, gt in zip(lam_t, gam_t))
+    if side == "gamma":
+        first = sum(np.vdot(gj - gt @ f, gj) for gj, gt in zip(g.parts, gam_t))
+    else:
+        first = sum(np.vdot(gj, gj - lt @ f) for gj, lt in zip(g.parts, lam_t))
+    return float(sum(np.vdot(p, p).real for p in g.parts)), complex(first + cross)
+
+
+def _assert_rel(actual, expected, rel=1e-10):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.linalg.norm(actual - expected) <= rel * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("dim,block_dims", [(4, (1,) * 4), (16, (4,) * 8), (64, (4,) * 32)])
+def test_shared_factor_matches_per_block_solves(dim, block_dims):
+    pair = gen_bi_g_frame(
+        GenSpec(dim, block_dims, dim, "prescribed_operator"), random_hermitian_pd(dim, dim)
+    )
+    lam_t, gam_t = _reference_duals(pair)
+    dual = canonical_pair(pair)
+    for actual, expected in zip(dual.lam.blocks + dual.gam.blocks, lam_t + gam_t):
+        _assert_rel(actual, expected)
+
+    rng = np.random.default_rng(dim)
+    f = random_complex_vector(rng, dim)
+    for variant in (1, 2):
+        _assert_rel(reconstruct(pair, f, variant), _reference_reconstruct(pair, f, variant))
+    for side, analysis in (("gamma", lam_t), ("lambda", gam_t)):
+        particular, nullbasis = solve_synthesis_coefficients(pair, f, side)
+        _assert_rel(particular.to_flat(), np.concatenate([b @ f for b in analysis]))
+        g = particular
+        if nullbasis:
+            g = CoefficientSequence.from_flat(
+                particular.to_flat() + (0.5 - 0.25j) * nullbasis[0].to_flat(), block_dims
+            )
+        lhs, rhs = coefficient_identity_terms(pair, f, g, side)
+        ref_lhs, ref_rhs = _reference_identity_terms(lam_t, gam_t, f, g, side)
+        _assert_rel(lhs, ref_lhs)
+        _assert_rel(rhs, ref_rhs)
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Counts of Cholesky factorizations and Hermitian spectra, by name."""
+    calls = {"cho_factor": 0, "eigvalsh": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(scipy.linalg, "cho_factor")
+    counting(np.linalg, "eigvalsh")
+    return calls
+
+
+def test_one_factorization_per_pair_call(lapack_calls):
+    pair = gen_bi_g_frame(
+        GenSpec(16, (4,) * 8, 3, "prescribed_operator"), random_hermitian_pd(16, 3)
+    )
+    f = random_complex_vector(np.random.default_rng(3), 16)
+    particular, _ = solve_synthesis_coefficients(pair, f, "gamma")
+    calls = [
+        lambda: classify_bi_g_frame(pair),
+        lambda: canonical_pair(pair),
+        lambda: reconstruct(pair, f, 1),
+        lambda: reconstruct(pair, f, 2),
+        lambda: solve_synthesis_coefficients(pair, f, "gamma"),
+        lambda: solve_synthesis_coefficients(pair, f, "lambda"),
+        lambda: coefficient_identity_terms(pair, f, particular, "gamma"),
+    ]
+    for call in calls:
+        lapack_calls.update(cho_factor=0, eigvalsh=0)
+        call()
+        assert lapack_calls == {"cho_factor": 1, "eigvalsh": 1}
+
+
+def test_no_factorization_for_non_frames(lapack_calls):
+    rank_deficient = gen_negative(GenSpec(4, (2, 2, 2), 5, "rank_deficient"))
+    lapack_calls["cho_factor"] = 0
+    assert not classify_bi_g_frame(rank_deficient).is_frame
+    assert lapack_calls["cho_factor"] == 0
+    for pair in (NONHERM, rank_deficient):
+        with pytest.raises(NotBiGFrame):
+            canonical_pair(pair)
+        with pytest.raises(NotBiGFrame):
+            reconstruct(pair, np.ones(pair.dim), 2)
+    assert lapack_calls["cho_factor"] == 0

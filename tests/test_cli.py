@@ -121,6 +121,20 @@ def test_tol_env_variable(capsys, monkeypatch, instance_a_file):
     assert '"tolerance": 9.9999999999999995e-07' in out
 
 
+def test_check_small_tol_gives_a_verdict(capsys, tmp_path):
+    # S = diag(1, 1e-13) is a frame at --tol 1e-15, below the solver's 1e-12 default.
+    pair = BiGFrameSystem(
+        GFrameSystem(2, (np.diag([1.0, 1e-13]),)),
+        GFrameSystem(2, (np.eye(2),)),
+    )
+    path = tmp_path / "thin.json"
+    write_pair_file(path, pair)
+    code, out, err = run_cli(capsys, "check", str(path), "--pair", "L,G", "--tol", "1e-15")
+    assert code == 0
+    assert '"is_frame": true' in out
+    assert "Traceback" not in err
+
+
 def test_bad_tol_flag(capsys, instance_a_file):
     code, _, _ = run_cli(capsys, "check", instance_a_file, "--pair", "L,G", "--tol", "-1")
     assert code == 2

@@ -187,6 +187,22 @@ def test_coefficient_sequence_round_trip():
         CoefficientSequence.from_flat(flat, (1, 1))
 
 
+def test_from_flat_validates_once_and_shares_one_read_only_copy():
+    values = np.arange(5.0)
+    c = CoefficientSequence.from_flat(values, (2, 3))
+    values[0] = 9.0
+    assert c.parts[0][0] == 0.0
+    assert all(p.dtype == np.complex128 and not p.flags.writeable for p in c.parts)
+    with pytest.raises(ValueError):
+        c.parts[1][0] = 1.0
+    with pytest.raises(ShapeMismatch):
+        CoefficientSequence.from_flat(np.ones(3), (0, 3))
+    with pytest.raises(ShapeMismatch):
+        CoefficientSequence.from_flat(np.ones((1, 3)), (3,))
+    with pytest.raises(ValueError):
+        CoefficientSequence.from_flat([1.0, np.nan], (1, 1))
+
+
 def test_system_validation():
     with pytest.raises(ShapeMismatch):
         GFrameSystem(2, ())

@@ -19,6 +19,7 @@ from bgframes import (
     solve_pd,
 )
 from bgframes.generators import random_hermitian_pd
+from bgframes.kernel import CholeskyFactor
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -86,6 +87,13 @@ def test_deviation_of_nilpotent():
 @given(complex_matrices(rows=3, cols=3))
 def test_deviation_vanishes_after_symmetrization(m):
     assert hermitian_deviation(m + adjoint(m)) <= 1e-14 * (1.0 + np.linalg.norm(m))
+
+
+def test_deviation_is_scale_invariant():
+    m = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for c in (1e-12, 1e-10, 1.0, 1e12):
+        assert hermitian_deviation(c * m) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert hermitian_deviation(np.zeros((3, 3))) == 0.0
 
 
 def test_deviation_requires_square():
@@ -177,6 +185,17 @@ def test_solve_pd_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite) as excinfo:
         solve_pd(np.diag([1.0, -1.0]), np.eye(2))
     assert excinfo.value.smallest_eigenvalue == pytest.approx(-1.0)
+
+
+def test_cholesky_gate_reads_its_ratio():
+    h = np.diag([1.0, 1e-13]).astype(np.complex128)
+    factor = CholeskyFactor.gated(h, 1e-13, 1.0, 1e-15)
+    np.testing.assert_allclose(factor.solve(np.array([1.0, 1e-13])), [1.0, 1.0], rtol=1e-14)
+    with pytest.raises(NotPositiveDefinite) as excinfo:
+        CholeskyFactor.gated(h, 1e-13, 1.0, 1e-12)
+    assert excinfo.value.smallest_eigenvalue == 1e-13
+    with pytest.raises(NotPositiveDefinite):
+        solve_pd(h, np.ones(2))
 
 
 def test_solve_pd_rejects_shape_mismatch():
