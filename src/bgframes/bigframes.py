@@ -101,10 +101,7 @@ def pairing_sum(sys: BiGFrameSystem, f) -> complex:
 
 def bi_g_frame_operator(sys: BiGFrameSystem) -> np.ndarray:
     """``S = sum_j Gamma_j* Lambda_j``; not Hermitian for arbitrary pairs."""
-    out = np.zeros((sys.dim, sys.dim), dtype=np.complex128)
-    for lb, gb in zip(sys.lam.blocks, sys.gam.blocks):
-        out += gb.conj().T @ lb
-    return out
+    return stacked_analysis_matrix(sys.gam).conj().T @ stacked_analysis_matrix(sys.lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,11 +287,10 @@ def solve_synthesis_coefficients(
     stacked = stacked_analysis_matrix(synthesis_family).conj().T
     _, s, vh = np.linalg.svd(stacked, full_matrices=True)
     rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    dims = sys.block_dims
-    nullbasis = [
-        CoefficientSequence.from_flat(np.conj(vh[k, :]), dims)
-        for k in range(rank, vh.shape[0])
-    ]
+    null_rows = np.conj(vh[rank:])
+    null_rows.setflags(write=False)
+    columns = _split_last_axis(null_rows, sys.block_dims)
+    nullbasis = [CoefficientSequence._of_views(parts) for parts in zip(*columns)]
     return particular, nullbasis
 
 

@@ -87,9 +87,13 @@ class CoefficientSequence:
         if any(m < 1 for m in block_dims):
             raise ShapeMismatch(f"block dims must be positive, got {tuple(block_dims)}")
         flat.setflags(write=False)
-        # Skips __post_init__, which would validate and copy each part again.
+        return cls._of_views(tuple(_split_last_axis(flat, block_dims)))
+
+    @classmethod
+    def _of_views(cls, parts: tuple) -> "CoefficientSequence":
+        """Wrap validated read-only parts, skipping ``__post_init__``'s copies."""
         seq = object.__new__(cls)
-        object.__setattr__(seq, "parts", tuple(_split_last_axis(flat, block_dims)))
+        object.__setattr__(seq, "parts", parts)
         return seq
 
 
@@ -133,10 +137,8 @@ def g_analysis(sys: GFrameSystem, f) -> CoefficientSequence:
 
 def g_frame_operator(sys: GFrameSystem) -> np.ndarray:
     """``S = sum_j Lambda_j* Lambda_j``; Hermitian PSD by construction."""
-    out = np.zeros((sys.dim, sys.dim), dtype=np.complex128)
-    for b in sys.blocks:
-        out += b.conj().T @ b
-    return out
+    a = stacked_analysis_matrix(sys)
+    return a.conj().T @ a
 
 
 def classify_g_frame(sys: GFrameSystem, tol: float = DEFAULT_TOL) -> ClassifyReport:

@@ -2,7 +2,8 @@
 
 Everything downstream (frame layers, generators, CLI) goes through this
 module for its numerics. All functions are pure; inputs are validated and
-coerced to finite ``complex128`` arrays once, here.
+coerced to finite ``complex128`` arrays once, here. NumPy is the only
+dependency: PD solves use ``np.linalg.cholesky`` and its triangular inverse.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotHermitian, NotPositiveDefinite, NotSquare, ShapeMismatch
 
@@ -129,29 +129,31 @@ def positive_definite(lo: float, hi: float, ratio: float) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class CholeskyFactor:
-    """Cholesky factor of a Hermitian positive definite matrix ``h``; one
-    factor, built by :meth:`gated`, serves any number of solves."""
+    """``L^-1`` for the Cholesky factor of Hermitian positive definite ``h = L L*``;
+    one factor, built by :meth:`gated`, serves any number of solves."""
 
     h: np.ndarray
-    factor: tuple
+    l_inv: np.ndarray
 
     @classmethod
     def gated(cls, h: np.ndarray, lo: float, hi: float, ratio: float) -> "CholeskyFactor":
         """Factor ``h``, whose spectrum edges are ``lo`` and ``hi``; raises
-        ``NotPositiveDefinite`` unless they pass :func:`positive_definite`."""
+        ``NotPositiveDefinite`` unless they pass :func:`positive_definite`, and
+        ``numpy.linalg.LinAlgError`` when the factorization itself fails."""
         if not positive_definite(lo, hi, ratio):
             raise NotPositiveDefinite(
                 f"matrix is not positive definite: smallest eigenvalue {lo:.6e} "
                 f"(largest {hi:.6e})",
                 smallest_eigenvalue=lo,
             )
-        return cls(h, scipy.linalg.cho_factor(h, lower=True, check_finite=False))
+        return cls(h, np.linalg.inv(np.linalg.cholesky(h)))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``h^-1 b`` for a vector or a matrix of right-hand sides."""
-        x = scipy.linalg.cho_solve(self.factor, b, check_finite=False)
+        """``h^-1 b = L^-* (L^-1 b)`` for a vector or a matrix of right-hand sides."""
+        l_inv, l_inv_h = self.l_inv, self.l_inv.conj().T
+        x = l_inv_h @ (l_inv @ b)
         # One refinement pass knocks the residual down to ~eps * ||B||.
-        return x + scipy.linalg.cho_solve(self.factor, b - self.h @ x, check_finite=False)
+        return x + l_inv_h @ (l_inv @ (b - self.h @ x))
 
 
 def solve_pd(m, b) -> np.ndarray:

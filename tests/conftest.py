@@ -48,6 +48,22 @@ def write_pair_file(path, pair: BiGFrameSystem, vectors=None) -> None:
     )
 
 
+def cholesky_breakdown_pair() -> BiGFrameSystem:
+    """Lambda = Q diag(eps, 1, ..., 1) Q* on C^6 with |eps| <= 3e-17, Gamma = I.
+
+    Lambda is exactly Hermitian, so S = H = Lambda. At this seed the
+    computed smallest eigenvalue of H is about 2e-16, which passes the
+    frame gate at tol 1e-18, yet the Cholesky factorization of H breaks
+    down in roundoff.
+    """
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    eps = rng.uniform(-3e-17, 3e-17)
+    m = (q * np.r_[eps, np.ones(5)]) @ q.conj().T
+    lam = 0.5 * (m + m.conj().T)
+    return BiGFrameSystem(GFrameSystem(6, (lam,)), GFrameSystem(6, (np.eye(6),)))
+
+
 def package_env() -> dict:
     """Environment for a `python -m bgframes.cli` child process.
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,9 +33,10 @@ from bgframes import (
     riesz_transfer_check,
     solve_pd,
     solve_synthesis_coefficients,
+    stacked_analysis_matrix,
     swap,
 )
-from conftest import random_complex_vector
+from conftest import cholesky_breakdown_pair, random_complex_vector
 
 NONHERM = BiGFrameSystem(
     GFrameSystem(2, (np.array([[1.0, 0.0]]),)),
@@ -533,16 +533,23 @@ def _reference_identity_terms(lam_t, gam_t, f, g, side):
     return float(sum(np.vdot(p, p).real for p in g.parts)), complex(first + cross)
 
 
+PRESCRIBED_SHAPES = [(4, (1,) * 4), (16, (4,) * 8), (64, (4,) * 32)]
+
+
+def _prescribed_pair(dim, block_dims):
+    return gen_bi_g_frame(
+        GenSpec(dim, block_dims, dim, "prescribed_operator"), random_hermitian_pd(dim, dim)
+    )
+
+
 def _assert_rel(actual, expected, rel=1e-10):
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert np.linalg.norm(actual - expected) <= rel * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("dim,block_dims", [(4, (1,) * 4), (16, (4,) * 8), (64, (4,) * 32)])
+@pytest.mark.parametrize("dim,block_dims", PRESCRIBED_SHAPES)
 def test_shared_factor_matches_per_block_solves(dim, block_dims):
-    pair = gen_bi_g_frame(
-        GenSpec(dim, block_dims, dim, "prescribed_operator"), random_hermitian_pd(dim, dim)
-    )
+    pair = _prescribed_pair(dim, block_dims)
     lam_t, gam_t = _reference_duals(pair)
     dual = canonical_pair(pair)
     for actual, expected in zip(dual.lam.blocks + dual.gam.blocks, lam_t + gam_t):
@@ -566,10 +573,35 @@ def test_shared_factor_matches_per_block_solves(dim, block_dims):
         _assert_rel(rhs, ref_rhs)
 
 
+@pytest.mark.parametrize("dim,block_dims", PRESCRIBED_SHAPES)
+def test_stacked_operators_match_block_loops(dim, block_dims):
+    pair = _prescribed_pair(dim, block_dims)
+    loop = sum(gb.conj().T @ lb for lb, gb in zip(pair.lam.blocks, pair.gam.blocks))
+    _assert_rel(bi_g_frame_operator(pair), loop, rel=1e-13)
+    loop = sum(b.conj().T @ b for b in pair.lam.blocks)
+    _assert_rel(g_frame_operator(pair.lam), loop, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim,block_dims", PRESCRIBED_SHAPES)
+def test_null_basis_matches_per_row_from_flat(dim, block_dims):
+    pair = _prescribed_pair(dim, block_dims)
+    f = random_complex_vector(np.random.default_rng(dim), dim)
+    for side, family in (("gamma", pair.gam), ("lambda", pair.lam)):
+        _, nullbasis = solve_synthesis_coefficients(pair, f, side)
+        _, s, vh = np.linalg.svd(stacked_analysis_matrix(family).conj().T)
+        rank = int(np.sum(s > 1e-9 * s[0]))
+        expected = [CoefficientSequence.from_flat(np.conj(row), block_dims) for row in vh[rank:]]
+        assert len(nullbasis) == len(expected) == sum(block_dims) - dim
+        for actual, ref in zip(nullbasis, expected):
+            assert actual.block_dims == block_dims
+            assert all(not p.flags.writeable for p in actual.parts)
+            np.testing.assert_array_equal(actual.to_flat(), ref.to_flat())
+
+
 @pytest.fixture
 def lapack_calls(monkeypatch):
     """Counts of Cholesky factorizations and Hermitian spectra, by name."""
-    calls = {"cho_factor": 0, "eigvalsh": 0}
+    calls = {"cholesky": 0, "eigvalsh": 0}
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -580,7 +612,7 @@ def lapack_calls(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(scipy.linalg, "cho_factor")
+    counting(np.linalg, "cholesky")
     counting(np.linalg, "eigvalsh")
     return calls
 
@@ -601,19 +633,27 @@ def test_one_factorization_per_pair_call(lapack_calls):
         lambda: coefficient_identity_terms(pair, f, particular, "gamma"),
     ]
     for call in calls:
-        lapack_calls.update(cho_factor=0, eigvalsh=0)
+        lapack_calls.update(cholesky=0, eigvalsh=0)
         call()
-        assert lapack_calls == {"cho_factor": 1, "eigvalsh": 1}
+        assert lapack_calls == {"cholesky": 1, "eigvalsh": 1}
 
 
 def test_no_factorization_for_non_frames(lapack_calls):
     rank_deficient = gen_negative(GenSpec(4, (2, 2, 2), 5, "rank_deficient"))
-    lapack_calls["cho_factor"] = 0
+    lapack_calls["cholesky"] = 0
     assert not classify_bi_g_frame(rank_deficient).is_frame
-    assert lapack_calls["cho_factor"] == 0
+    assert lapack_calls["cholesky"] == 0
     for pair in (NONHERM, rank_deficient):
         with pytest.raises(NotBiGFrame):
             canonical_pair(pair)
         with pytest.raises(NotBiGFrame):
             reconstruct(pair, np.ones(pair.dim), 2)
-    assert lapack_calls["cho_factor"] == 0
+    assert lapack_calls["cholesky"] == 0
+
+
+def test_cholesky_breakdown_past_the_gate_raises_linalg_error():
+    pair = cholesky_breakdown_pair()
+    w = np.linalg.eigvalsh(pair.lam.blocks[0])
+    assert w[0] > 1e-18 * w[-1]
+    with pytest.raises(np.linalg.LinAlgError):
+        classify_bi_g_frame(pair, tol=1e-18)

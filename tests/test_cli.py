@@ -7,7 +7,7 @@ import pytest
 from bgframes import GFrameSystem, BiGFrameSystem, random_hermitian_pd
 from bgframes.cli import main
 from bgframes.fileio import load_frame_file, save_matrix
-from conftest import package_env, write_pair_file
+from conftest import cholesky_breakdown_pair, package_env, write_pair_file
 
 
 @pytest.fixture
@@ -132,6 +132,16 @@ def test_check_small_tol_gives_a_verdict(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", str(path), "--pair", "L,G", "--tol", "1e-15")
     assert code == 0
     assert '"is_frame": true' in out
+    assert "Traceback" not in err
+
+
+def test_cholesky_breakdown_is_a_numerical_failure(capsys, tmp_path):
+    path = tmp_path / "breakdown.json"
+    write_pair_file(path, cholesky_breakdown_pair())
+    code, out, err = run_cli(capsys, "check", str(path), "--pair", "L,G", "--tol", "1e-18")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
     assert "Traceback" not in err
 
 
@@ -296,3 +306,12 @@ def test_module_invocation_smoke(tmp_path, instance_a):
     assert proc.returncode == 0
     assert '"is_frame": true' in proc.stdout
     assert "wall_time_ms=" in proc.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, bgframes.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=package_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -198,6 +198,27 @@ def test_cholesky_gate_reads_its_ratio():
         solve_pd(h, np.ones(2))
 
 
+@pytest.mark.parametrize("n", [4, 64, 256])
+@pytest.mark.parametrize("cond", [4.0, 1e6, 1e10])
+def test_cholesky_solve_agrees_with_dense_solve(n, cond):
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    w = np.geomspace(1.0 / cond, 1.0, n)
+    h = (q * w) @ q.conj().T
+    h = 0.5 * (h + h.conj().T)
+    factor = CholeskyFactor.gated(h, w[0], w[-1], 1e-12)
+    for shape in ((n,), (n, 3)):
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = factor.solve(b)
+        ref = np.linalg.solve(h, b)
+        assert x.shape == b.shape
+        # ||h|| = 1: normwise backward error at roundoff, and a forward
+        # difference within cond * eps, as close as two backward-stable
+        # solvers can agree.
+        assert np.linalg.norm(h @ x - b) <= 1e-14 * np.linalg.norm(x)
+        assert np.linalg.norm(x - ref) <= max(1e-10, 1e-15 * cond) * np.linalg.norm(ref)
+
+
 def test_solve_pd_rejects_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         solve_pd(np.eye(2), np.ones(3))
