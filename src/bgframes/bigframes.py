@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConstraintViolated, NotBiGFrame, ShapeMismatch
-from .frames import ClassifyReport, FrameBounds, VectorFrame, _spectral_verdicts, classify_biframe
+from .frames import ClassifyReport, VectorFrame, _check_same_shape, _spectral_report
 from .gframes import (
     CoefficientSequence,
     GFrameSystem,
@@ -28,7 +28,7 @@ from .gframes import (
     is_g_riesz_basis,
     stacked_analysis_matrix,
 )
-from .kernel import DEFAULT_TOL, CholeskyFactor, as_vector, inner, operator_norm
+from .kernel import DEFAULT_TOL, CholeskyFactor, inner, operator_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,21 +60,6 @@ class BiGFrameSystem:
         return len(self.lam)
 
 
-@dataclass(frozen=True)
-class BiGReport:
-    """Verdicts for one pair: implication chain as in ClassifyReport,
-    ``bounds``/``inverse_norm`` present exactly when ``is_frame``."""
-
-    is_bessel: bool
-    is_frame: bool
-    is_tight: bool
-    is_parseval: bool
-    bounds: FrameBounds | None
-    hermitian_deviation: float
-    inverse_norm: float | None
-    tolerance: float
-
-
 @dataclass(frozen=True, eq=False)
 class DualPair:
     """The canonical dual pair: ``lam`` holds Lambda_j S^-1, ``gam`` holds
@@ -90,9 +75,7 @@ def pairing_sum(sys: BiGFrameSystem, f) -> complex:
     Equals ``<S f, f>`` for the pair operator S; kept as an independent
     blockwise evaluation so the two routes can be cross-checked.
     """
-    v = as_vector(f)
-    if v.shape[0] != sys.dim:
-        raise ShapeMismatch(f"vector length {v.shape[0]} != dimension {sys.dim}")
+    v = _check_vector(sys, f)
     total = 0.0 + 0.0j
     for lb, gb in zip(sys.lam.blocks, sys.gam.blocks):
         total += np.vdot(gb @ v, lb @ v)
@@ -111,7 +94,7 @@ class _PreparedPair:
     public call; only :func:`classify_bi_g_frame` sets ``inverse_norm``."""
 
     sys: BiGFrameSystem
-    report: BiGReport
+    report: ClassifyReport
     factor: CholeskyFactor | None
 
 
@@ -119,17 +102,15 @@ def _prepare(sys: BiGFrameSystem, tol: float) -> _PreparedPair:
     """Operator, Hermitian gate, one spectrum and (for frames) one factor:
     the spectrum edges are both the frame verdict and the factor's gate."""
     op = bi_g_frame_operator(sys)
-    dev, besl, frm, tight, pars, bounds = _spectral_verdicts(
-        op, tol, hermitian_gates_bessel=True
-    )
-    report = BiGReport(besl, frm, tight, pars, bounds, dev, None, tol)
-    if not frm:
+    report = _spectral_report(op, tol, hermitian_gates_bessel=True)
+    if not report.is_frame:
         return _PreparedPair(sys, report, None)
     h = 0.5 * (op + op.conj().T)
+    bounds = report.bounds
     return _PreparedPair(sys, report, CholeskyFactor.gated(h, bounds.lower, bounds.upper, tol))
 
 
-def classify_bi_g_frame(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> BiGReport:
+def classify_bi_g_frame(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> ClassifyReport:
     """Classify a pair from its operator.
 
     A Hermitian deviation above ``tol`` rules out even the Bessel verdict,
@@ -137,7 +118,7 @@ def classify_bi_g_frame(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> BiGRep
     the verdicts and bounds come from the spectrum edges, and
     ``inverse_norm`` reports the operator norm of S^-1 (computed through an
     explicit solve, so the classical ``<= 1/C`` estimate stays a genuine
-    cross-check).
+    cross-check). ``is_riesz`` is ``None``: pair reports do not compute it.
     """
     prepared = _prepare(sys, tol)
     if not prepared.report.is_frame:
@@ -336,16 +317,7 @@ def coefficient_identity_terms(
     else:
         for gj, ly in zip(g.parts, lam_y):
             first += inner(gj - ly, gj)
-    lhs = float(sum(np.vdot(p, p).real for p in g.parts))
-    return lhs, complex(first + cross)
-
-
-def coefficient_identity_check(
-    sys: BiGFrameSystem, f, g: CoefficientSequence, side: str, tol: float = DEFAULT_TOL
-) -> bool:
-    """True when the coefficient identity balances within ``tol`` (relative)."""
-    lhs, rhs = coefficient_identity_terms(sys, f, g, side, tol)
-    return bool(abs(lhs - rhs) <= tol * (1.0 + abs(lhs)))
+    return g.norm_sq(), complex(first + cross)
 
 
 def lift_to_biframe(sys: BiGFrameSystem) -> tuple:
@@ -375,17 +347,8 @@ def from_vector_biframe(f_list: VectorFrame, g_list: VectorFrame) -> BiGFrameSys
     pair's mixed sums coincide with the vector biframe sums and
     ``lift_to_biframe`` returns the original families.
     """
-    if f_list.dim != g_list.dim or len(f_list) != len(g_list):
-        raise ShapeMismatch(
-            f"families do not match: dims {f_list.dim}/{g_list.dim}, "
-            f"sizes {len(f_list)}/{len(g_list)}"
-        )
+    _check_same_shape(f_list, g_list)
     lam = GFrameSystem(f_list.dim, tuple(np.conj(v)[None, :] for v in f_list.vectors))
     gam = GFrameSystem(g_list.dim, tuple(np.conj(v)[None, :] for v in g_list.vectors))
     return BiGFrameSystem(lam, gam)
 
-
-def biframe_report_of_lift(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> ClassifyReport:
-    """Convenience: classify the lifted vector pair directly."""
-    u, v = lift_to_biframe(sys)
-    return classify_biframe(u, v, tol)

@@ -58,7 +58,16 @@ _TOL_ENV = "BGF_TOL"
 _IDENTITY_SEED = 0
 
 
-def _env_tol() -> float:
+def _positive_finite(value: float, message: str) -> float:
+    if not (value > 0.0 and np.isfinite(value)):
+        raise SchemaError(message)
+    return value
+
+
+def _tol(args) -> float:
+    """The verdict tolerance: ``--tol``, else ``$BGF_TOL``, else the default."""
+    if args.tol is not None:
+        return _positive_finite(args.tol, "--tol must be positive and finite")
     raw = os.environ.get(_TOL_ENV)
     if raw is None:
         return DEFAULT_TOL
@@ -66,17 +75,7 @@ def _env_tol() -> float:
         value = float(raw)
     except ValueError:
         raise SchemaError(f"{_TOL_ENV}: expected a number, got {raw!r}")
-    if not (value > 0.0 and np.isfinite(value)):
-        raise SchemaError(f"{_TOL_ENV}: tolerance must be positive and finite")
-    return value
-
-
-def _tol(args) -> float:
-    if args.tol is not None:
-        if not (args.tol > 0.0 and np.isfinite(args.tol)):
-            raise SchemaError("--tol must be positive and finite")
-        return args.tol
-    return _env_tol()
+    return _positive_finite(value, f"{_TOL_ENV}: tolerance must be positive and finite")
 
 
 def _pair_names(text: str):
@@ -96,26 +95,24 @@ def _dims_list(text: str):
     return dims
 
 
-def _system(frame_file: FrameFile, name: str, path: str):
-    try:
-        return frame_file.systems[name]
-    except KeyError:
-        raise SchemaError(f"{path}: system {name!r} not found "
-                          f"(available: {sorted(frame_file.systems)})")
+def _count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return count
 
 
-def _vector_list(frame_file: FrameFile, name: str, path: str):
+def _lookup(table: dict, what: str, name: str, path: str):
+    """``table[name]``; a missing name is a schema error listing the names present."""
     try:
-        return frame_file.vectors[name]
+        return table[name]
     except KeyError:
-        raise SchemaError(f"{path}: vectors entry {name!r} not found "
-                          f"(available: {sorted(frame_file.vectors)})")
+        raise SchemaError(f"{path}: {what} {name!r} not found (available: {sorted(table)})")
 
 
 def _pair(frame_file: FrameFile, names, path: str) -> BiGFrameSystem:
-    return BiGFrameSystem(
-        _system(frame_file, names[0], path), _system(frame_file, names[1], path)
-    )
+    lam, gam = (_lookup(frame_file.systems, "system", name, path) for name in names)
+    return BiGFrameSystem(lam, gam)
 
 
 def _emit(doc) -> None:
@@ -172,7 +169,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_gcheck(args) -> int:
     tol = _tol(args)
     frame_file = load_frame_file(args.file)
-    system = _system(frame_file, args.system, args.file)
+    system = _lookup(frame_file.systems, "system", args.system, args.file)
     report = classify_g_frame(system, tol)
     doc = _base_doc("gcheck", args, tol)
     doc["system"] = args.system
@@ -217,7 +214,7 @@ def _cmd_reconstruct(args) -> int:
     tol = _tol(args)
     frame_file = load_frame_file(args.file)
     system = _pair(frame_file, args.pair, args.file)
-    vectors = _vector_list(frame_file, args.vector, args.file)
+    vectors = _lookup(frame_file.vectors, "vectors entry", args.vector, args.file)
     report = classify_bi_g_frame(system, tol)
     doc = _base_doc("reconstruct", args, tol)
     doc["pair"] = list(args.pair)
@@ -261,12 +258,7 @@ def _cmd_lift(args) -> int:
     doc["pair"] = list(args.pair)
     doc["pair_verdicts"] = _verdict_doc(pair_report)
     doc["lift_verdicts"] = _verdict_doc(lift_report)
-    doc["verdicts_agree"] = (
-        pair_report.is_bessel == lift_report.is_bessel
-        and pair_report.is_frame == lift_report.is_frame
-        and pair_report.is_tight == lift_report.is_tight
-        and pair_report.is_parseval == lift_report.is_parseval
-    )
+    doc["verdicts_agree"] = doc["pair_verdicts"] == doc["lift_verdicts"]
     if lift_report.is_frame:
         doc["bounds"] = {
             "lower": lift_report.bounds.lower,
@@ -281,8 +273,6 @@ def _cmd_lift(args) -> int:
 def _cmd_gen(args) -> int:
     dims = tuple(args.dims)
     kind = KIND_PRESCRIBED if args.target_op else args.kind
-    if kind == KIND_PRESCRIBED and not args.target_op:
-        raise SchemaError("kind 'prescribed_operator' needs --target-op")
     spec = GenSpec(dim=args.dim, block_dims=dims, seed=args.seed, kind=kind)
     if kind == KIND_RANDOM:
         systems = {"L": gen_g_frame(spec)}
@@ -326,7 +316,7 @@ def _cmd_identity(args) -> int:
     tol = _tol(args)
     frame_file = load_frame_file(args.file)
     system = _pair(frame_file, args.pair, args.file)
-    vectors = _vector_list(frame_file, args.vector, args.file)
+    vectors = _lookup(frame_file.vectors, "vectors entry", args.vector, args.file)
     doc = _base_doc("identity", args, tol)
     doc["pair"] = list(args.pair)
     doc["vector"] = args.vector
@@ -427,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_lift)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a seeded instance file")
+    p = sub.add_parser("gen", help="generate a seeded instance file")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--dims", type=_dims_list, required=True, metavar="M1,M2,...")
     p.add_argument("--seed", type=int, required=True)
@@ -446,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--pair", type=_pair_names, required=True, metavar="L,G")
     p.add_argument("--vector", required=True, metavar="NAME")
-    p.add_argument("--perturb", type=int, default=0, metavar="K")
+    p.add_argument("--perturb", type=_count, default=0, metavar="K")
     p.add_argument("--side", choices=("both", "gamma", "lambda"), default="both")
     p.set_defaults(func=_cmd_identity)
 
@@ -467,7 +457,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (FrameToolError, ValueError) as exc:
+    except (FrameToolError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

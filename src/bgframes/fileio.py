@@ -91,8 +91,14 @@ def _fail(path: str, message: str):
     raise SchemaError(f"{path}: {message}")
 
 
-def _loads(text: str, path: str):
-    """json.loads with duplicate-key detection (names must stay unique)."""
+def _load_json(path):
+    """Read and decode one JSON file, rejecting duplicate keys (names must
+    stay unique); an unreadable file is a schema error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read file: {exc}") from exc
 
     def hook(pairs):
         result = {}
@@ -108,6 +114,8 @@ def _loads(text: str, path: str):
         raise SchemaError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
 def _expect_object(value, path: str) -> dict:
@@ -124,7 +132,10 @@ def _expect_number_list(value, path: str, length: int) -> np.ndarray:
     for i, x in enumerate(value):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             _fail(f"{path}[{i}]", "expected a number")
-    arr = np.asarray(value, dtype=np.float64)
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except OverflowError:  # an integer literal beyond the double range
+        _fail(path, "entries must be finite")
     if not np.isfinite(arr).all():
         _fail(path, "entries must be finite")
     return arr
@@ -199,11 +210,7 @@ def parse_frame_doc(doc, path: str = "$") -> FrameFile:
 
 def load_frame_file(path) -> FrameFile:
     """Read and validate one interchange file."""
-    try:
-        text = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise SchemaError(f"{path}: cannot read file: {exc}") from exc
-    return parse_frame_doc(_loads(text, str(path)), path=str(path))
+    return parse_frame_doc(_load_json(path), path=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +257,7 @@ def save_frame_file(path, data: FrameFile) -> None:
 
 def load_matrix(path) -> np.ndarray:
     """Read one standalone matrix: {"rows": r, "entries_re": [...], "entries_im": [...]}."""
-    try:
-        text = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise SchemaError(f"{path}: cannot read file: {exc}") from exc
-    obj = _expect_object(_loads(text, str(path)), str(path))
+    obj = _expect_object(_load_json(path), str(path))
     rows = obj.get("rows")
     if isinstance(rows, bool) or not isinstance(rows, int) or rows < 1:
         _fail(f"{path}.rows", "expected a positive integer")

@@ -89,17 +89,20 @@ class ClassifyReport:
 
     ``bounds`` is present exactly when ``is_frame`` holds; verdicts satisfy
     parseval => tight => frame => bessel. ``hermitian_deviation`` refers to
-    the operator the verdict was computed from.
+    the operator the verdict was computed from. ``is_riesz`` is ``None`` on
+    pair reports, which do not compute it; ``inverse_norm`` (the operator
+    norm of S^-1) is set only by ``classify_bi_g_frame``, on frames.
     """
 
     is_bessel: bool
     is_frame: bool
     is_tight: bool
     is_parseval: bool
-    is_riesz: bool
+    is_riesz: bool | None
     bounds: FrameBounds | None
     hermitian_deviation: float
     tolerance: float
+    inverse_norm: float | None = None
 
 
 def synthesis_matrix(frame: VectorFrame) -> np.ndarray:
@@ -113,13 +116,19 @@ def frame_operator(frame: VectorFrame) -> np.ndarray:
     return t @ t.conj().T
 
 
-def _spectral_verdicts(op: np.ndarray, tol: float, hermitian_gates_bessel: bool):
-    """Shared classification core: deviation gate, then spectrum edges."""
+def _spectral_report(
+    op: np.ndarray, tol: float, hermitian_gates_bessel: bool, is_riesz: bool | None = None
+) -> ClassifyReport:
+    """The one classification core: deviation gate, then spectrum edges.
+
+    ``hermitian_gates_bessel`` is false for Gram operators, which are
+    Bessel by construction at every ``tol``.
+    """
     dev = hermitian_deviation(op)
     hermitian_ok = dev <= tol
     is_bessel = hermitian_ok if hermitian_gates_bessel else True
     if not hermitian_ok:
-        return dev, is_bessel, False, False, False, None
+        return ClassifyReport(is_bessel, False, False, False, is_riesz, None, dev, tol)
     h = 0.5 * (op + op.conj().T)
     w = np.linalg.eigvalsh(h)
     lo, hi = float(w[0]), float(w[-1])
@@ -127,15 +136,7 @@ def _spectral_verdicts(op: np.ndarray, tol: float, hermitian_gates_bessel: bool)
     is_tight = is_frame and (hi - lo) <= tol * hi
     is_parseval = is_tight and abs(hi - 1.0) <= tol
     bounds = FrameBounds(lo, hi) if is_frame else None
-    return dev, is_bessel, is_frame, is_tight, is_parseval, bounds
-
-
-def _spectral_report(
-    op: np.ndarray, tol: float, hermitian_gates_bessel: bool, is_riesz: bool
-) -> ClassifyReport:
-    """The report of :func:`_spectral_verdicts` on ``op``."""
-    dev, besl, frm, tight, pars, bounds = _spectral_verdicts(op, tol, hermitian_gates_bessel)
-    return ClassifyReport(besl, frm, tight, pars, is_riesz, bounds, dev, tol)
+    return ClassifyReport(is_bessel, is_frame, is_tight, is_parseval, is_riesz, bounds, dev, tol)
 
 
 def classify_frame(frame: VectorFrame, tol: float = DEFAULT_TOL) -> ClassifyReport:
@@ -154,12 +155,17 @@ def canonical_dual(frame: VectorFrame) -> VectorFrame:
     return VectorFrame(frame.dim, tuple(duals[:, j] for j in range(duals.shape[1])))
 
 
-def check_duality(f: VectorFrame, g: VectorFrame, tol: float = DEFAULT_TOL) -> bool:
-    """True when ``sum_j g_j f_j* = I = sum_j f_j g_j*`` within ``tol`` (Frobenius)."""
+def _check_same_shape(f: VectorFrame, g: VectorFrame) -> None:
+    """Two families must share their dimension and their size."""
     if f.dim != g.dim or len(f) != len(g):
         raise ShapeMismatch(
             f"families do not match: dims {f.dim}/{g.dim}, sizes {len(f)}/{len(g)}"
         )
+
+
+def check_duality(f: VectorFrame, g: VectorFrame, tol: float = DEFAULT_TOL) -> bool:
+    """True when ``sum_j g_j f_j* = I = sum_j f_j g_j*`` within ``tol`` (Frobenius)."""
+    _check_same_shape(f, g)
     fm = synthesis_matrix(f)
     gm = synthesis_matrix(g)
     eye = np.eye(f.dim)
@@ -175,14 +181,9 @@ def check_controlled_duality(
     """One-sided controlled duality: ``f = sum_j <f, g_j> C f_j`` for all f,
     i.e. ``C T_f T_g* = I`` within ``tol``. Only this orientation is checked.
     """
-    frame = sys.frame
-    if frame.dim != duals.dim or len(frame) != len(duals):
-        raise ShapeMismatch(
-            f"families do not match: dims {frame.dim}/{duals.dim}, "
-            f"sizes {len(frame)}/{len(duals)}"
-        )
-    prod = sys.controller @ synthesis_matrix(frame) @ synthesis_matrix(duals).conj().T
-    return bool(np.linalg.norm(prod - np.eye(frame.dim)) <= tol)
+    _check_same_shape(sys.frame, duals)
+    prod = sys.controller @ synthesis_matrix(sys.frame) @ synthesis_matrix(duals).conj().T
+    return bool(np.linalg.norm(prod - np.eye(sys.frame.dim)) <= tol)
 
 
 def classify_controlled(sys: ControlledSystem, tol: float = DEFAULT_TOL) -> ClassifyReport:
@@ -203,10 +204,7 @@ def classify_biframe(f: VectorFrame, g: VectorFrame, tol: float = DEFAULT_TOL) -
     that operator; verdict rules are the same as for controlled systems.
     ``is_riesz`` holds when both families are Riesz bases.
     """
-    if f.dim != g.dim or len(f) != len(g):
-        raise ShapeMismatch(
-            f"families do not match: dims {f.dim}/{g.dim}, sizes {len(f)}/{len(g)}"
-        )
+    _check_same_shape(f, g)
     op = synthesis_matrix(g) @ synthesis_matrix(f).conj().T
     return _spectral_report(op, tol, True, is_riesz_basis(f, tol) and is_riesz_basis(g, tol))
 

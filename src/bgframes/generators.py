@@ -17,8 +17,8 @@ import numpy as np
 
 from .bigframes import BiGFrameSystem, bi_g_frame_operator
 from .errors import NotHermitian, NotPositiveDefinite, ShapeMismatch
-from .gframes import GFrameSystem, g_frame_operator
-from .kernel import DEFAULT_TOL, as_matrix, hermitian_deviation, solve_pd
+from .gframes import GFrameSystem, _split_last_axis, g_frame_operator
+from .kernel import DEFAULT_TOL, as_matrix, hermitian_deviation, positive_definite, solve_pd
 
 KIND_RANDOM = "random_g_frame"
 KIND_PRESCRIBED = "prescribed_operator"
@@ -28,6 +28,7 @@ KINDS = (KIND_RANDOM, KIND_PRESCRIBED, KIND_RANK_DEFICIENT, KIND_NON_HERMITIAN)
 
 _MAX_REDRAWS = 16
 _FULL_RANK_RATIO = 1e-10
+_TARGET_PD_RATIO = 1e-12
 # Singular-value floor applied to drawn analysis matrices in the
 # prescribed-operator construction; see gen_bi_g_frame.
 _SPECTRAL_FLOOR = 0.05
@@ -91,29 +92,25 @@ def gen_g_frame(spec: GenSpec) -> GFrameSystem:
         if not rank_possible:
             return sys
         w = np.linalg.eigvalsh(g_frame_operator(sys))
-        if w[0] > _FULL_RANK_RATIO * w[-1]:
+        if positive_definite(w[0], w[-1], _FULL_RANK_RATIO):
             return sys
     raise RuntimeError(f"no full-rank draw in {_MAX_REDRAWS} attempts (seed {spec.seed})")
 
 
-def _floored_analysis(rng, total_rows: int, dim: int) -> np.ndarray:
-    """Gaussian draw with small singular values lifted to a fixed floor.
+def _floored_family(rng, block_dims, dim: int) -> GFrameSystem:
+    """Gaussian analysis matrix with small singular values lifted to a fixed
+    floor, split into blocks of ``block_dims`` rows.
 
     Keeps the prescribed-operator construction well conditioned: without
     the floor, square draws occasionally come out ill-conditioned enough
     that the target operator is no longer reproduced to 1e-10.
     """
-    a = _complex_gaussian(rng, total_rows, dim)
+    a = _complex_gaussian(rng, sum(block_dims), dim)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     floor = _SPECTRAL_FLOOR * s[0]
     if s[-1] < floor:
         a = (u * np.maximum(s, floor)) @ vh
-    return a
-
-
-def _split_rows(a: np.ndarray, block_dims) -> tuple:
-    offsets = np.cumsum((0,) + tuple(block_dims))
-    return tuple(a[offsets[i]:offsets[i + 1], :] for i in range(len(block_dims)))
+    return GFrameSystem(dim, tuple(b.T for b in _split_last_axis(a.T, block_dims)))
 
 
 def _pair_with_target(lam: GFrameSystem, target: np.ndarray) -> BiGFrameSystem:
@@ -153,14 +150,12 @@ def gen_bi_g_frame(spec: GenSpec, target) -> BiGFrameSystem:
         raise NotHermitian(f"target deviation {dev:.3e} exceeds {DEFAULT_TOL:.3e}")
     h = 0.5 * (p + p.conj().T)
     w = np.linalg.eigvalsh(h)
-    if w[0] <= 1e-12 * max(w[-1], 0.0):
+    if not positive_definite(w[0], w[-1], _TARGET_PD_RATIO):
         raise NotPositiveDefinite(
             f"target is not positive definite: smallest eigenvalue {w[0]:.6e}",
             smallest_eigenvalue=float(w[0]),
         )
-    rng = _stream(spec.seed)
-    a = _floored_analysis(rng, sum(spec.block_dims), n)
-    lam = GFrameSystem(n, _split_rows(a, spec.block_dims))
+    lam = _floored_family(_stream(spec.seed), spec.block_dims, n)
     return _pair_with_target(lam, h)
 
 
@@ -184,8 +179,7 @@ def gen_negative(spec: GenSpec) -> BiGFrameSystem:
         if r == 0:
             zero = tuple(np.zeros((m, n), dtype=np.complex128) for m in spec.block_dims)
             return BiGFrameSystem(GFrameSystem(n, zero), GFrameSystem(n, zero))
-        a = _floored_analysis(rng, total, r)
-        lam_small = GFrameSystem(r, _split_rows(a, spec.block_dims))
+        lam_small = _floored_family(rng, spec.block_dims, r)
         pair_small = _pair_with_target(lam_small, np.eye(r, dtype=np.complex128))
         pad = ((0, 0), (0, n - r))
         lam = GFrameSystem(n, tuple(np.pad(b, pad) for b in pair_small.lam.blocks))
@@ -203,8 +197,7 @@ def gen_negative(spec: GenSpec) -> BiGFrameSystem:
             else:
                 raise RuntimeError("could not draw a nonzero skew part")
             target = np.eye(n, dtype=np.complex128) + skew * (math.sqrt(n) / size)
-            a = _floored_analysis(rng, total, n)
-            lam = GFrameSystem(n, _split_rows(a, spec.block_dims))
+            lam = _floored_family(rng, spec.block_dims, n)
             return _pair_with_target(lam, target)
         for _ in range(_MAX_REDRAWS):
             lam = GFrameSystem(n, _draw_blocks(rng, spec.block_dims, n))

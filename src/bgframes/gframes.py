@@ -1,8 +1,10 @@
 """Operator-valued frames: families of blocks Lambda_j mapping C^n into
 C^{m_j}, their synthesis/analysis maps, operator, and induced vectors.
 
-Each block is stored as an m_j x n matrix. Sums over the index set are
-always reduced in ascending j so results are reproducible bit for bit.
+Each block is stored as an m_j x n matrix. The block frame operator is
+one matrix product of the stacked blocks, reproducible for a fixed BLAS
+build and thread count; the remaining loops over blocks reduce in
+ascending j.
 """
 
 from __future__ import annotations
@@ -101,13 +103,6 @@ def _split_last_axis(a: np.ndarray, sizes) -> list:
     """Consecutive slices of the last axis of ``a`` with lengths ``sizes``, as views."""
     offsets = list(accumulate(sizes, initial=0))
     return [a[..., x:y] for x, y in zip(offsets, offsets[1:])]
-
-
-def block_inner(c: CoefficientSequence, d: CoefficientSequence) -> complex:
-    """Direct-sum inner product ``sum_j <c_j, d_j>``, linear in ``c``."""
-    if c.block_dims != d.block_dims:
-        raise ShapeMismatch(f"block shapes differ: {c.block_dims} vs {d.block_dims}")
-    return complex(sum(np.vdot(dj, cj) for cj, dj in zip(c.parts, d.parts)))
 
 
 def _check_vector(sys: GFrameSystem, f) -> np.ndarray:

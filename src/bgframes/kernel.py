@@ -1,4 +1,4 @@
-"""Dense complex-matrix primitives: adjoints, Hermitian spectra, PD solves.
+"""Dense complex-matrix primitives: Hermitian deviation, the PD gate, PD solves.
 
 Everything downstream (frame layers, generators, CLI) goes through this
 module for its numerics. All functions are pure; inputs are validated and
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotPositiveDefinite, NotSquare, ShapeMismatch
+from .errors import NotPositiveDefinite, NotSquare, ShapeMismatch
 
 #: Package-wide default relative tolerance for verdicts and residual checks.
 DEFAULT_TOL = 1e-9
@@ -55,11 +55,6 @@ def inner(u, v) -> complex:
     return complex(np.vdot(v, u))
 
 
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
-
-
 def hermitian_deviation(m) -> float:
     """Relative distance of a square matrix from its adjoint.
 
@@ -73,46 +68,6 @@ def hermitian_deviation(m) -> float:
     if norm == 0.0:
         return 0.0
     return float(np.linalg.norm(a - a.conj().T) / norm)
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianEigen:
-    """Spectral decomposition of a Hermitian matrix.
-
-    ``eigenvalues`` is real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.eigenvalues, dtype=np.float64)
-        if w.ndim != 1 or not np.isfinite(w).all():
-            raise ValueError("eigenvalues must be a finite 1-d real array")
-        if np.any(np.diff(w) < 0):
-            raise ValueError("eigenvalues must be ascending")
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", as_matrix(self.eigenvectors))
-
-
-def eig_hermitian(m, tol: float = DEFAULT_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Raises ``NotSquare`` for rectangular input and ``NotHermitian`` when the
-    relative deviation from self-adjointness exceeds ``tol``. The matrix is
-    symmetrized before factorization so roundoff-level asymmetry cannot
-    leak complex eigenvalues.
-    """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NotSquare(f"eigendecomposition needs a square matrix, got {a.shape}")
-    dev = hermitian_deviation(a)
-    if dev > tol:
-        raise NotHermitian(f"relative Hermitian deviation {dev:.3e} exceeds tol {tol:.3e}")
-    h = 0.5 * (a + a.conj().T)
-    w, v = np.linalg.eigh(h)
-    return HermitianEigen(w, v)
 
 
 def operator_norm(m) -> float:

@@ -249,7 +249,7 @@ def test_lift_equivalence(prescribed_instances, negative_instances):
     verdicts_ok = True
     for pair, _ in prescribed_instances:
         pair_report = bg.classify_bi_g_frame(pair)
-        lift_report = bg.biframe_report_of_lift(pair)
+        lift_report = bg.classify_biframe(*bg.lift_to_biframe(pair))
         verdicts_ok = verdicts_ok and _verdicts(pair_report) == _verdicts(lift_report)
         worst_bounds = max(
             worst_bounds,
@@ -259,7 +259,7 @@ def test_lift_equivalence(prescribed_instances, negative_instances):
     negatives_ok = True
     for pair in negative_instances:
         pair_report = bg.classify_bi_g_frame(pair)
-        lift_report = bg.biframe_report_of_lift(pair)
+        lift_report = bg.classify_biframe(*bg.lift_to_biframe(pair))
         negatives_ok = negatives_ok and not pair_report.is_frame
         negatives_ok = negatives_ok and not lift_report.is_frame
         verdicts_ok = verdicts_ok and _verdicts(pair_report) == _verdicts(lift_report)

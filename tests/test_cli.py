@@ -1,12 +1,17 @@
+import contextlib
+import io
+import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bgframes import GFrameSystem, BiGFrameSystem, random_hermitian_pd
+from bgframes import GenSpec, GFrameSystem, BiGFrameSystem, gen_bi_g_frame, random_hermitian_pd
 from bgframes.cli import main
-from bgframes.fileio import load_frame_file, save_matrix
+from bgframes.fileio import FrameFile, dumps_json, frame_file_doc, load_frame_file, save_matrix
 from conftest import cholesky_breakdown_pair, package_env, write_pair_file
 
 
@@ -110,6 +115,26 @@ def test_duplicate_system_names_rejected(capsys, tmp_path):
     assert "duplicate" in err
 
 
+def test_huge_integer_entry_is_input_error(capsys, tmp_path, instance_a_file):
+    doc = json.loads(open(instance_a_file, encoding="utf-8").read())
+    doc["systems"]["L"]["blocks"][0]["entries_re"][0] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "check", str(path), "--pair", "L,G")
+    assert code == 2
+    assert out == ""
+    assert "entries_re: entries must be finite" in err
+
+
+def test_deeply_nested_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "check", str(path), "--pair", "L,G")
+    assert code == 2
+    assert out == ""
+    assert "nested too deeply" in err
+
+
 def test_tol_env_variable(capsys, monkeypatch, instance_a_file):
     monkeypatch.setenv("BGF_TOL", "not-a-number")
     code, _, err = run_cli(capsys, "check", instance_a_file, "--pair", "L,G")
@@ -172,6 +197,19 @@ def test_dual_on_negative_writes_nothing(capsys, tmp_path, nonherm_file):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command", ["dual", "gen"])
+def test_unwritable_out_is_input_error(capsys, tmp_path, instance_a_file, command):
+    out_path = str(tmp_path / "missing" / "out.json")
+    if command == "dual":
+        argv = ["dual", instance_a_file, "--pair", "L,G", "--out", out_path]
+    else:
+        argv = ["gen", "--dim", "2", "--dims", "1,2", "--seed", "3", "--out", out_path]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_reconstruct_both_variants(capsys, instance_a_file):
     for variant in ("1", "2"):
         code, out, _ = run_cli(
@@ -231,6 +269,15 @@ def test_identity_negative_exits_one(capsys, nonherm_file):
     assert code == 1
 
 
+def test_identity_rejects_negative_perturb(capsys, instance_a_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["identity", instance_a_file, "--pair", "L,G", "--vector", "e1", "--perturb", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nonnegative" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # gen
 
@@ -281,6 +328,16 @@ def test_gen_is_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_takes_no_tol(capsys, tmp_path):
+    out_path = tmp_path / "y.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--dim", "2", "--dims", "1,2", "--seed", "3", "--out", str(out_path),
+              "--tol", "-5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not out_path.exists()
+
+
 def test_report_bytes_are_stable(capsys, instance_a_file):
     outputs = []
     for _ in range(2):
@@ -315,3 +372,128 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# malformed interchange files
+
+_LAM = gen_bi_g_frame(GenSpec(2, (1, 2), 5, "prescribed_operator"), random_hermitian_pd(2, 5)).lam
+_VALID = json.loads(dumps_json(frame_file_doc(
+    FrameFile(dim=2, systems={"L": _LAM}, vectors={"e1": [np.array([1.0, 0.5j])]})
+)))
+# Dropping these keys leaves a file that check and gcheck still accept.
+_OPTIONAL = {("vectors",), ("vectors", "e1")}
+
+
+def _locations(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _locations(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _locations(value, path + (i,))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _text(node, duplicate=None, path=()):
+    """JSON text of ``node``; ``duplicate = (path, key)`` repeats one key of one object."""
+    if isinstance(node, dict):
+        items = [f"{json.dumps(k)}: {_text(v, duplicate, path + (k,))}" for k, v in node.items()]
+        if duplicate is not None and duplicate[0] == path:
+            key = duplicate[1]
+            items.append(f"{json.dumps(key)}: {_text(node[key])}")
+        return "{" + ", ".join(items) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(_text(v, duplicate, path + (i,)) for i, v in enumerate(node)) + "]"
+    return json.dumps(node)
+
+
+def _category(value):
+    for kind in (bool, (int, float), str, list, dict):
+        if isinstance(value, kind):
+            return kind
+    return None
+
+
+_PATHS = list(_locations(_VALID))
+_NUMBERS = [p for p in _PATHS if _category(_get(_VALID, p)) == (int, float)]
+
+
+def _replaced(path, value):
+    doc = json.loads(json.dumps(_VALID))
+    if not path:
+        return value
+    _get(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+@st.composite
+def malformed_texts(draw):
+    """The valid document's text after one mutation that makes it invalid."""
+    kind = draw(st.sampled_from(
+        ["drop", "retype", "resize", "nonpositive", "duplicate", "huge", "truncate"]
+    ))
+    if kind == "drop":
+        path = draw(st.sampled_from([p for p in _PATHS if p and isinstance(p[-1], str)
+                                     and p not in _OPTIONAL]))
+        doc = json.loads(json.dumps(_VALID))
+        del _get(doc, path[:-1])[path[-1]]
+        return _text(doc)
+    if kind == "retype":
+        path = draw(st.sampled_from(_PATHS))
+        current = _category(_get(_VALID, path))
+        value = draw(st.sampled_from(
+            [v for v in (None, True, 1.5, "x", [], {}) if _category(v) != current]
+        ))
+        return _text(_replaced(path, value))
+    if kind == "resize":
+        entries = [p for p in _PATHS if p and p[-1] in ("entries_re", "entries_im")]
+        path = draw(st.sampled_from(entries))
+        values = _get(_VALID, path)
+        length = draw(st.integers(0, 2 * len(values) + 1).filter(lambda k: k != len(values)))
+        return _text(_replaced(path, (values * 3 + [0.5] * 3)[:length]))
+    if kind == "nonpositive":
+        path = draw(st.sampled_from([p for p in _PATHS if p and p[-1] in ("rows", "dim")]))
+        return _text(_replaced(path, draw(st.integers(-5, 0))))
+    if kind == "duplicate":
+        path = draw(st.sampled_from([p for p in _PATHS if isinstance(_get(_VALID, p), dict)]))
+        key = draw(st.sampled_from(sorted(_get(_VALID, path))))
+        return _text(_VALID, duplicate=(path, key))
+    if kind == "huge":
+        path = draw(st.sampled_from(_NUMBERS))
+        return _text(_replaced(path, 10 ** draw(st.integers(309, 1000))))
+    text = dumps_json(_VALID)
+    return text[: draw(st.integers(0, len(text) - 1))]
+
+
+_HUGE_ENTRY = _text(_replaced(("systems", "L", "blocks", 0, "entries_re", 0), 10**400))
+
+
+@pytest.mark.parametrize(
+    "argv", [["check", "--pair", "L,L"], ["gcheck", "--system", "L"]], ids=["check", "gcheck"]
+)
+@settings(max_examples=150, deadline=None)
+@example(text=_HUGE_ENTRY)
+@given(text=malformed_texts())
+def test_malformed_file_exits_2_without_traceback(tmp_path_factory, argv, text):
+    path = tmp_path_factory.getbasetemp() / "malformed.json"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], str(path), *argv[1:]])
+    assert code == 2, err.getvalue()
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ")
+
+
+def test_unmutated_file_is_valid(tmp_path):
+    path = tmp_path / "valid.json"
+    path.write_text(_text(_VALID), encoding="utf-8")
+    assert main(["check", str(path), "--pair", "L,L"]) in (0, 1)
+    assert main(["gcheck", str(path), "--system", "L"]) in (0, 1)

@@ -6,18 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgframes import (
-    NotHermitian,
+    BiGFrameSystem,
+    GFrameSystem,
     NotPositiveDefinite,
     NotSquare,
     ShapeMismatch,
-    adjoint,
+    adjoint_identity_check,
     as_matrix,
-    eig_hermitian,
     hermitian_deviation,
     inner,
     operator_norm,
     solve_pd,
 )
+from bgframes.frames import _spectral_report
 from bgframes.generators import random_hermitian_pd
 from bgframes.kernel import CholeskyFactor
 
@@ -35,38 +36,45 @@ def complex_matrices(draw, rows=None, cols=None, max_dim=4):
 
 @st.composite
 def conformable_pairs(draw, max_dim=4):
-    r = draw(st.integers(1, max_dim))
+    """``(a, b)`` with ``a`` n x k and ``b`` k x n, so ``a b`` is square."""
+    n = draw(st.integers(1, max_dim))
     k = draw(st.integers(1, max_dim))
-    c = draw(st.integers(1, max_dim))
-    return draw(complex_matrices(rows=r, cols=k)), draw(complex_matrices(rows=k, cols=c))
+    return draw(complex_matrices(rows=n, cols=k)), draw(complex_matrices(rows=k, cols=n))
 
 
 # ---------------------------------------------------------------------------
-# adjoint
+# adjoints, as the Hermitian gate and the pair operator take them
 
 
 def test_adjoint_identity_is_self():
-    np.testing.assert_array_equal(adjoint(np.eye(2)), np.eye(2))
+    # I is self-adjoint; (iI)* = -iI, so ||iI - (iI)*|| / ||iI|| = 2.
+    assert hermitian_deviation(np.eye(2)) == 0.0
+    assert hermitian_deviation(1j * np.eye(2)) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_adjoint_conjugate_transposes():
-    m = np.array([[0.0, 1j]])
-    expected = np.array([[0.0], [-1j]])
-    np.testing.assert_array_equal(adjoint(m), expected)
-    assert adjoint(m).shape == (2, 1)
+    # Complex symmetric, so a plain transpose would read deviation 0:
+    # M - M* = [[0, 2i], [2i, 0]] and ||M||_F = 2.
+    m = np.array([[1.0, 1j], [1j, 1.0]])
+    assert hermitian_deviation(m) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
-@given(complex_matrices())
+@given(complex_matrices(rows=3, cols=3))
 def test_adjoint_involution(m):
-    np.testing.assert_array_equal(adjoint(adjoint(m)), m)
+    # The gate reads M and M* alike, which the family-swap invariance needs.
+    assert hermitian_deviation(m.conj().T) == pytest.approx(hermitian_deviation(m), rel=1e-14)
 
 
 @settings(max_examples=50, deadline=None)
 @given(conformable_pairs())
 def test_adjoint_reverses_products(pair):
+    # One-block pair (Lambda, Gamma) = (b, a*), so S(Lambda, Gamma) = a b and
+    # S(Gamma, Lambda) = b* a*.
     a, b = pair
-    np.testing.assert_allclose(adjoint(a @ b), adjoint(b) @ adjoint(a), atol=1e-12)
+    n = b.shape[1]
+    sys = BiGFrameSystem(GFrameSystem(n, (b,)), GFrameSystem(n, (a.conj().T,)))
+    assert adjoint_identity_check(sys, tol=1e-12 * (1.0 + np.abs(a).max() * np.abs(b).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +94,7 @@ def test_deviation_of_nilpotent():
 @settings(max_examples=50, deadline=None)
 @given(complex_matrices(rows=3, cols=3))
 def test_deviation_vanishes_after_symmetrization(m):
-    assert hermitian_deviation(m + adjoint(m)) <= 1e-14 * (1.0 + np.linalg.norm(m))
+    assert hermitian_deviation(m + m.conj().T) <= 1e-14 * (1.0 + np.linalg.norm(m))
 
 
 def test_deviation_is_scale_invariant():
@@ -102,52 +110,35 @@ def test_deviation_requires_square():
 
 
 # ---------------------------------------------------------------------------
-# eig_hermitian
+# the spectral verdict: eigenvalues of the Hermitian part of an operator
 
 
 def test_eig_diagonal_sorted_ascending():
-    eig = eig_hermitian(np.diag([2.0, 1.0]))
-    np.testing.assert_allclose(eig.eigenvalues, [1.0, 2.0], atol=1e-14)
+    report = _spectral_report(np.diag([2.0, 1.0]), 1e-9, hermitian_gates_bessel=True)
+    assert (report.bounds.lower, report.bounds.upper) == (1.0, 2.0)
+    assert report.is_frame and not report.is_tight
 
 
 def test_eig_identity():
-    eig = eig_hermitian(np.eye(4))
-    np.testing.assert_allclose(eig.eigenvalues, np.ones(4), atol=1e-14)
+    report = _spectral_report(np.eye(4), 1e-9, hermitian_gates_bessel=False)
+    assert (report.bounds.lower, report.bounds.upper) == (1.0, 1.0)
+    assert report.is_parseval and report.hermitian_deviation == 0.0
 
 
 def test_eig_swap_matrix():
-    # Characteristic polynomial x^2 - 1.
-    eig = eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(eig.eigenvalues, [-1.0, 1.0], atol=1e-14)
-
-
-def test_eig_residual_and_unitarity():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    m = a + a.conj().T
-    eig = eig_hermitian(m)
-    scale = np.linalg.norm(m)
-    for k in range(6):
-        residual = m @ eig.eigenvectors[:, k] - eig.eigenvalues[k] * eig.eigenvectors[:, k]
-        assert np.linalg.norm(residual) <= 1e-10 * scale
-    gram = eig.eigenvectors.conj().T @ eig.eigenvectors
-    assert np.max(np.abs(gram - np.eye(6))) <= 1e-10
-
-
-def test_eig_reconstructs_matrix():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    m = a + a.conj().T
-    eig = eig_hermitian(m)
-    rebuilt = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
-    assert np.linalg.norm(rebuilt - m) <= 1e-9 * np.linalg.norm(m)
+    # Characteristic polynomial x^2 - 1: Hermitian, indefinite.
+    report = _spectral_report(np.array([[0.0, 1.0], [1.0, 0.0]]), 1e-9, True)
+    assert report.is_bessel and not report.is_frame and report.bounds is None
 
 
 def test_eig_rejects_rectangular_and_nonhermitian():
     with pytest.raises(NotSquare):
-        eig_hermitian(np.ones((2, 3)))
-    with pytest.raises(NotHermitian):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        _spectral_report(np.ones((2, 3)), 1e-9, True)
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    gated = _spectral_report(nilpotent, 1e-9, hermitian_gates_bessel=True)
+    assert not gated.is_bessel and not gated.is_frame
+    assert gated.hermitian_deviation == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert _spectral_report(nilpotent, 1e-9, hermitian_gates_bessel=False).is_bessel
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +237,7 @@ def test_operator_norm_matches_spectrum_for_hermitian():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     m = a + a.conj().T
-    top = float(np.max(np.abs(eig_hermitian(m).eigenvalues)))
+    top = float(np.max(np.abs(np.linalg.eigvalsh(m))))
     assert operator_norm(m) == pytest.approx(top, rel=1e-9)
 
 
