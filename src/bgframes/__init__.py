@@ -5,17 +5,13 @@ reconstruction, and seeded generators."""
 from .bigframes import (
     BiGFrameSystem,
     DualPair,
-    adjoint_identity_check,
     bi_g_frame_operator,
     canonical_pair,
     classify_bi_g_frame,
     coefficient_identity_terms,
-    dual_pair_bessel_check,
     from_vector_biframe,
     lift_to_biframe,
-    pairing_sum,
     reconstruct,
-    riesz_transfer_check,
     solve_synthesis_coefficients,
     swap,
 )
@@ -76,64 +72,12 @@ from .kernel import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiGFrameSystem",
-    "ClassifyReport",
-    "CoefficientSequence",
-    "ConstraintViolated",
-    "ControlledSystem",
-    "DEFAULT_TOL",
-    "DualPair",
-    "FrameBounds",
-    "FrameToolError",
-    "GFrameSystem",
-    "GenSpec",
-    "KINDS",
-    "NotBiGFrame",
-    "NotHermitian",
-    "NotInvertibleController",
-    "NotPositiveDefinite",
-    "NotSquare",
-    "SchemaError",
-    "ShapeMismatch",
-    "VectorFrame",
-    "adjoint_identity_check",
-    "as_matrix",
-    "as_vector",
-    "bi_g_frame_operator",
-    "canonical_dual",
-    "canonical_pair",
-    "check_controlled_duality",
-    "check_duality",
-    "classify_bi_g_frame",
-    "classify_biframe",
-    "classify_controlled",
-    "classify_frame",
-    "classify_g_frame",
-    "coefficient_identity_terms",
-    "dual_pair_bessel_check",
-    "frame_operator",
-    "from_vector_biframe",
-    "g_analysis",
-    "g_frame_operator",
-    "g_synthesis",
-    "gen_bi_g_frame",
-    "gen_g_frame",
-    "gen_negative",
-    "hermitian_deviation",
-    "induced_vectors",
-    "inner",
-    "is_g_riesz_basis",
-    "is_riesz_basis",
-    "lift_to_biframe",
-    "operator_norm",
-    "pairing_sum",
-    "random_hermitian_pd",
-    "reconstruct",
-    "riesz_transfer_check",
-    "solve_pd",
-    "solve_synthesis_coefficients",
-    "stacked_analysis_matrix",
-    "swap",
-    "synthesis_matrix",
-]
+# Every class and function imported above, plus the two constants.
+__all__ = sorted(
+    [
+        name
+        for name, value in list(globals().items())
+        if getattr(value, "__module__", "").startswith(__name__ + ".")
+    ]
+    + ["DEFAULT_TOL", "KINDS"]
+)

@@ -1,6 +1,6 @@
-"""Paired operator families (bi-g-frames): the mixed pairing sum, its
-operator, duals, reconstruction, coefficient identities, and the lift to
-plain vector biframes.
+"""Paired operator families (bi-g-frames): their operator, duals,
+reconstruction, coefficient identities, and the lift to plain vector
+biframes.
 
 A shape-matched pair ``(Lambda, Gamma)`` of block families is a bi-g-frame
 when the mixed sums ``sum_j <Lambda_j f, Gamma_j f>`` are pinched between
@@ -22,10 +22,8 @@ from .gframes import (
     CoefficientSequence,
     GFrameSystem,
     _check_vector,
-    _split_last_axis,
     g_synthesis,
     induced_vectors,
-    is_g_riesz_basis,
     stacked_analysis_matrix,
 )
 from .kernel import DEFAULT_TOL, CholeskyFactor, inner, operator_norm
@@ -67,19 +65,6 @@ class DualPair:
 
     lam: GFrameSystem
     gam: GFrameSystem
-
-
-def pairing_sum(sys: BiGFrameSystem, f) -> complex:
-    """``sum_j <Lambda_j f, Gamma_j f>``, linear in the Lambda slot.
-
-    Equals ``<S f, f>`` for the pair operator S; kept as an independent
-    blockwise evaluation so the two routes can be cross-checked.
-    """
-    v = _check_vector(sys, f)
-    total = 0.0 + 0.0j
-    for lb, gb in zip(sys.lam.blocks, sys.gam.blocks):
-        total += np.vdot(gb @ v, lb @ v)
-    return complex(total)
 
 
 def bi_g_frame_operator(sys: BiGFrameSystem) -> np.ndarray:
@@ -138,16 +123,6 @@ def _require_frame(sys: BiGFrameSystem, tol: float) -> _PreparedPair:
     return prepared
 
 
-def adjoint_identity_check(sys: BiGFrameSystem, tol: float = 1e-12) -> bool:
-    """``S(Lambda, Gamma)* == S(Gamma, Lambda)`` entrywise within ``tol``.
-
-    Holds for every shape-matched pair, frame or not.
-    """
-    lhs = bi_g_frame_operator(sys).conj().T
-    rhs = bi_g_frame_operator(swap(sys))
-    return bool(np.max(np.abs(lhs - rhs)) <= tol)
-
-
 def swap(sys: BiGFrameSystem) -> BiGFrameSystem:
     """Exchange the two families; verdicts and bounds are invariant."""
     return BiGFrameSystem(sys.gam, sys.lam)
@@ -158,10 +133,10 @@ def _dual(prepared: _PreparedPair) -> DualPair:
     sys = prepared.sys
     stacked = np.vstack((stacked_analysis_matrix(sys.lam), stacked_analysis_matrix(sys.gam)))
     solved = prepared.factor.solve(stacked.conj().T)
-    blocks = [x.conj().T for x in _split_last_axis(solved, sys.block_dims * 2)]
+    lam, gam = np.split(solved.conj().T, 2)
     return DualPair(
-        lam=GFrameSystem(sys.dim, tuple(blocks[: len(sys)])),
-        gam=GFrameSystem(sys.dim, tuple(blocks[len(sys):])),
+        lam=GFrameSystem._of_stacked(sys.dim, lam, sys.block_dims),
+        gam=GFrameSystem._of_stacked(sys.dim, gam, sys.block_dims),
     )
 
 
@@ -181,63 +156,20 @@ def reconstruct(sys: BiGFrameSystem, f, variant: int, tol: float = DEFAULT_TOL) 
     """Recover ``f`` through one of the two dual expansions.
 
     Variant 1 evaluates ``sum_j Gamma_j* Lambda_j S^-1 f``; variant 2
-    evaluates ``sum_j (Gamma_j (S*)^-1)* Lambda_j f``. Both are computed
-    blockwise, not collapsed to ``S S^-1 f``. The inverse is applied
-    through one Cholesky factor of the Hermitian part of S: to ``f`` in
-    variant 1, and to all of ``Gamma^H`` in one solve in variant 2.
+    evaluates ``sum_j (Gamma_j (S*)^-1)* Lambda_j f``. Both go through the
+    analysis coefficients, not collapsed to ``S S^-1 f``. The inverse is
+    applied through one Cholesky factor of the Hermitian part of S: to
+    ``f`` in variant 1, and to all of ``Gamma^H`` in one solve in variant 2.
     """
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant!r}")
     v = _check_vector(sys, f)
     prepared = _require_frame(sys, tol)
-    out = np.zeros(sys.dim, dtype=np.complex128)
+    a_lam, a_gam = stacked_analysis_matrix(sys.lam), stacked_analysis_matrix(sys.gam)
     if variant == 1:
-        y = prepared.factor.solve(v)
-        for lb, gb in zip(sys.lam.blocks, sys.gam.blocks):
-            out += gb.conj().T @ (lb @ y)
-    else:
-        # (Gamma_j (S*)^-1)* = (S*)^-1-solve applied to Gamma_j*.
-        solved = prepared.factor.solve(stacked_analysis_matrix(sys.gam).conj().T)
-        for lb, gt in zip(sys.lam.blocks, _split_last_axis(solved, sys.block_dims)):
-            out += gt @ (lb @ v)
-    return out
-
-
-def dual_pair_bessel_check(
-    sys: BiGFrameSystem,
-    trials: int,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-) -> tuple:
-    """Probe the dual pair's Bessel bound ``1/C``.
-
-    Forms the canonical dual pair and its own pairing operator (which is
-    ``S^-1`` analytically), returns its largest eigenvalue together with a
-    verdict from ``trials`` random probes checking both
-    ``sum_j <Lt_j f, Gt_j f> = <f, (S*)^-1 f>`` and the ``(1/C) ||f||^2``
-    cap, where C is the pair's lower bound. The duals and the probes share
-    one Cholesky factor.
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    prepared = _require_frame(sys, tol)
-    lower = prepared.report.bounds.lower
-    dual = _dual(prepared)
-    dual_sys = BiGFrameSystem(dual.lam, dual.gam)
-    dual_op = bi_g_frame_operator(dual_sys)
-    h = 0.5 * (dual_op + dual_op.conj().T)
-    bound = float(np.linalg.eigvalsh(h)[-1])
-
-    rng = np.random.default_rng(seed)
-    ok = True
-    for _ in range(trials):
-        f = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-        lhs = pairing_sum(dual_sys, f)
-        rhs = inner(f, prepared.factor.solve(f))
-        norm_sq = float(np.vdot(f, f).real)
-        ok = ok and abs(lhs - rhs) <= tol * (1.0 + abs(rhs))
-        ok = ok and lhs.real <= (1.0 / lower) * norm_sq + tol * norm_sq
-    return bound, bool(ok)
+        return a_gam.conj().T @ (a_lam @ prepared.factor.solve(v))
+    # (Gamma_j (S*)^-1)* = (S*)^-1-solve applied to Gamma_j*.
+    return prepared.factor.solve(a_gam.conj().T) @ (a_lam @ v)
 
 
 def solve_synthesis_coefficients(
@@ -263,15 +195,13 @@ def solve_synthesis_coefficients(
         analysis_family, synthesis_family = sys.lam, sys.gam
     else:
         analysis_family, synthesis_family = sys.gam, sys.lam
-    particular = CoefficientSequence(tuple(b @ y for b in analysis_family.blocks))
+    dims = sys.block_dims
+    particular = CoefficientSequence._of_flat(stacked_analysis_matrix(analysis_family) @ y, dims)
 
     stacked = stacked_analysis_matrix(synthesis_family).conj().T
     _, s, vh = np.linalg.svd(stacked, full_matrices=True)
     rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    null_rows = np.conj(vh[rank:])
-    null_rows.setflags(write=False)
-    columns = _split_last_axis(null_rows, sys.block_dims)
-    nullbasis = [CoefficientSequence._of_views(parts) for parts in zip(*columns)]
+    nullbasis = [CoefficientSequence._of_flat(row, dims) for row in np.conj(vh[rank:])]
     return particular, nullbasis
 
 
@@ -294,10 +224,6 @@ def coefficient_identity_terms(
     if side not in ("gamma", "lambda"):
         raise ValueError(f"side must be 'gamma' or 'lambda', got {side!r}")
     v = _check_vector(sys, f)
-    if g.block_dims != sys.block_dims:
-        raise ShapeMismatch(
-            f"coefficient shape {g.block_dims} does not match system {sys.block_dims}"
-        )
     synthesized = g_synthesis(sys.gam if side == "gamma" else sys.lam, g)
     residual = float(np.linalg.norm(synthesized - v))
     if residual > tol * (1.0 + float(np.linalg.norm(v))):
@@ -306,18 +232,11 @@ def coefficient_identity_terms(
         )
 
     y = _require_frame(sys, tol).factor.solve(v)
-    lam_y = [b @ y for b in sys.lam.blocks]
-    gam_y = [b @ y for b in sys.gam.blocks]
-    cross = sum(np.vdot(gy, ly) for ly, gy in zip(lam_y, gam_y))
-
-    first = 0.0 + 0.0j
-    if side == "gamma":
-        for gj, gy in zip(g.parts, gam_y):
-            first += inner(gj, gj - gy)
-    else:
-        for gj, ly in zip(g.parts, lam_y):
-            first += inner(gj - ly, gj)
-    return g.norm_sq(), complex(first + cross)
+    lam_y = stacked_analysis_matrix(sys.lam) @ y
+    gam_y = stacked_analysis_matrix(sys.gam) @ y
+    c = g.to_flat()
+    first = inner(c, c - gam_y) if side == "gamma" else inner(c - lam_y, c)
+    return g.norm_sq(), first + inner(lam_y, gam_y)
 
 
 def lift_to_biframe(sys: BiGFrameSystem) -> tuple:
@@ -328,16 +247,6 @@ def lift_to_biframe(sys: BiGFrameSystem) -> tuple:
     operator.
     """
     return induced_vectors(sys.lam), induced_vectors(sys.gam)
-
-
-def riesz_transfer_check(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> bool:
-    """For a classified bi-g-frame, Riesz status agrees across the pair.
-
-    Returns whether ``is_g_riesz_basis`` answers the same for both
-    families; this is always true for genuine bi-g-frames.
-    """
-    _require_frame(sys, tol)
-    return is_g_riesz_basis(sys.lam, tol) == is_g_riesz_basis(sys.gam, tol)
 
 
 def from_vector_biframe(f_list: VectorFrame, g_list: VectorFrame) -> BiGFrameSystem:

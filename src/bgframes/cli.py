@@ -304,12 +304,11 @@ def _cmd_gen(args) -> int:
 
 
 def _perturbed(particular, nullbasis, rng) -> CoefficientSequence:
-    parts = [np.array(p) for p in particular.parts]
+    flat = particular.to_flat()
     for basis_vec in nullbasis:
         coeff = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        for i, extra in enumerate(basis_vec.parts):
-            parts[i] = parts[i] + coeff * extra
-    return CoefficientSequence(tuple(parts))
+        flat = flat + coeff * basis_vec.to_flat()
+    return CoefficientSequence.from_flat(flat, particular.block_dims)
 
 
 def _cmd_identity(args) -> int:

@@ -209,9 +209,12 @@ def classify_biframe(f: VectorFrame, g: VectorFrame, tol: float = DEFAULT_TOL) -
     return _spectral_report(op, tol, True, is_riesz_basis(f, tol) and is_riesz_basis(g, tol))
 
 
+def _invertible_synthesis(t: np.ndarray, tol: float) -> bool:
+    """The Riesz gate on a square synthesis matrix: ``s_min > tol * s_max``."""
+    s = np.linalg.svd(t, compute_uv=False)
+    return bool(s[-1] > tol * s[0])
+
+
 def is_riesz_basis(frame: VectorFrame, tol: float = DEFAULT_TOL) -> bool:
     """Finite-dimensional Riesz criterion: |J| = dim and invertible synthesis."""
-    if len(frame) != frame.dim:
-        return False
-    s = np.linalg.svd(synthesis_matrix(frame), compute_uv=False)
-    return bool(s[-1] > tol * s[0])
+    return len(frame) == frame.dim and _invertible_synthesis(synthesis_matrix(frame), tol)

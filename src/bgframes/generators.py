@@ -17,7 +17,7 @@ import numpy as np
 
 from .bigframes import BiGFrameSystem, bi_g_frame_operator
 from .errors import NotHermitian, NotPositiveDefinite, ShapeMismatch
-from .gframes import GFrameSystem, _split_last_axis, g_frame_operator
+from .gframes import GFrameSystem, g_frame_operator, stacked_analysis_matrix
 from .kernel import DEFAULT_TOL, as_matrix, hermitian_deviation, positive_definite, solve_pd
 
 KIND_RANDOM = "random_g_frame"
@@ -110,7 +110,7 @@ def _floored_family(rng, block_dims, dim: int) -> GFrameSystem:
     floor = _SPECTRAL_FLOOR * s[0]
     if s[-1] < floor:
         a = (u * np.maximum(s, floor)) @ vh
-    return GFrameSystem(dim, tuple(b.T for b in _split_last_axis(a.T, block_dims)))
+    return GFrameSystem._of_stacked(dim, a, block_dims)
 
 
 def _pair_with_target(lam: GFrameSystem, target: np.ndarray) -> BiGFrameSystem:
@@ -121,6 +121,8 @@ def _pair_with_target(lam: GFrameSystem, target: np.ndarray) -> BiGFrameSystem:
     """
     s_lam = g_frame_operator(lam)
     m = solve_pd(s_lam, target.conj().T)
+    # One product per block: BLAS rounds a product of the stacked matrix
+    # differently, which would change the entries that `bgf gen` writes.
     gam = GFrameSystem(lam.dim, tuple(b @ m for b in lam.blocks))
     return BiGFrameSystem(lam, gam)
 
@@ -182,8 +184,10 @@ def gen_negative(spec: GenSpec) -> BiGFrameSystem:
         lam_small = _floored_family(rng, spec.block_dims, r)
         pair_small = _pair_with_target(lam_small, np.eye(r, dtype=np.complex128))
         pad = ((0, 0), (0, n - r))
-        lam = GFrameSystem(n, tuple(np.pad(b, pad) for b in pair_small.lam.blocks))
-        gam = GFrameSystem(n, tuple(np.pad(b, pad) for b in pair_small.gam.blocks))
+        lam, gam = (
+            GFrameSystem._of_stacked(n, np.pad(stacked_analysis_matrix(f), pad), spec.block_dims)
+            for f in (pair_small.lam, pair_small.gam)
+        )
         return BiGFrameSystem(lam, gam)
 
     if spec.kind == KIND_NON_HERMITIAN:

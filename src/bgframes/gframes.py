@@ -1,22 +1,31 @@
 """Operator-valued frames: families of blocks Lambda_j mapping C^n into
 C^{m_j}, their synthesis/analysis maps, operator, and induced vectors.
 
-Each block is stored as an m_j x n matrix. The block frame operator is
-one matrix product of the stacked blocks, reproducible for a fixed BLAS
-build and thread count; the remaining loops over blocks reduce in
-ascending j.
+This module is the only one that knows how blocks are laid out. A system
+stores its blocks as one read-only (sum_j m_j) x n analysis matrix, block
+j ascending, and ``blocks`` holds row views of it; a coefficient sequence
+stores one read-only flat vector in the same order, and ``parts`` holds
+views of it. Every map is one matrix product of these arrays, reproducible
+for a fixed BLAS build and thread count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .frames import ClassifyReport, VectorFrame, _spectral_report, is_riesz_basis
+from .frames import ClassifyReport, VectorFrame, _invertible_synthesis, _spectral_report
 from .kernel import DEFAULT_TOL, as_matrix, as_vector
+
+
+def _views(stacked: np.ndarray, sizes: tuple) -> tuple:
+    """Freeze ``stacked`` and cut it along its first axis into pieces of ``sizes``."""
+    stacked.setflags(write=False)
+    offsets = list(accumulate(sizes, initial=0))
+    return tuple(stacked[x:y] for x, y in zip(offsets, offsets[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,11 +34,13 @@ class GFrameSystem:
 
     dim: int
     blocks: tuple
+    block_dims: tuple = field(init=False, repr=False)
+    _analysis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ShapeMismatch(f"dimension must be positive, got {self.dim}")
-        blocks = tuple(np.array(as_matrix(b), copy=True) for b in self.blocks)
+        blocks = tuple(as_matrix(b) for b in self.blocks)
         if not blocks:
             raise ShapeMismatch("a system needs at least one block")
         for j, b in enumerate(blocks):
@@ -37,19 +48,28 @@ class GFrameSystem:
                 raise ShapeMismatch(
                     f"block {j} has {b.shape[1]} columns, expected {self.dim}"
                 )
-            b.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
+        self._store(np.vstack(blocks), tuple(b.shape[0] for b in blocks))
+
+    def _store(self, analysis: np.ndarray, block_dims: tuple) -> None:
+        object.__setattr__(self, "_analysis", analysis)
+        object.__setattr__(self, "block_dims", block_dims)
+        object.__setattr__(self, "blocks", _views(analysis, block_dims))
+
+    @classmethod
+    def _of_stacked(cls, dim: int, analysis: np.ndarray, block_dims) -> "GFrameSystem":
+        """Take over a finite ``(sum m_j) x dim`` complex matrix that no one
+        else writes, skipping ``__post_init__``'s validation and copy."""
+        sys = object.__new__(cls)
+        object.__setattr__(sys, "dim", dim)
+        sys._store(analysis, tuple(block_dims))
+        return sys
 
     def __len__(self):
-        return len(self.blocks)
-
-    @property
-    def block_dims(self) -> tuple:
-        return tuple(b.shape[0] for b in self.blocks)
+        return len(self.block_dims)
 
     @property
     def total_block_dim(self) -> int:
-        return sum(self.block_dims)
+        return self._analysis.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,25 +77,35 @@ class CoefficientSequence:
     """A block vector, one part of length m_j per block of a system."""
 
     parts: tuple
+    block_dims: tuple = field(init=False, repr=False)
+    _flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        parts = tuple(np.array(as_vector(p), copy=True) for p in self.parts)
+        parts = tuple(as_vector(p) for p in self.parts)
         if not parts:
             raise ShapeMismatch("a coefficient sequence needs at least one part")
-        for p in parts:
-            p.setflags(write=False)
-        object.__setattr__(self, "parts", parts)
+        self._store(np.concatenate(parts), tuple(p.shape[0] for p in parts))
 
-    @property
-    def block_dims(self) -> tuple:
-        return tuple(p.shape[0] for p in self.parts)
+    def _store(self, flat: np.ndarray, block_dims: tuple) -> None:
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "block_dims", block_dims)
+        object.__setattr__(self, "parts", _views(flat, block_dims))
+
+    @classmethod
+    def _of_flat(cls, flat: np.ndarray, block_dims) -> "CoefficientSequence":
+        """Take over a finite complex vector of length ``sum(block_dims)``
+        that no one else writes, skipping ``__post_init__``."""
+        seq = object.__new__(cls)
+        seq._store(flat, tuple(block_dims))
+        return seq
 
     def norm_sq(self) -> float:
         """``sum_j ||c_j||^2``."""
-        return float(sum(np.vdot(p, p).real for p in self.parts))
+        return float(np.vdot(self._flat, self._flat).real)
 
     def to_flat(self) -> np.ndarray:
-        return np.concatenate(self.parts)
+        """All parts in order, as one read-only vector."""
+        return self._flat
 
     @classmethod
     def from_flat(cls, values, block_dims) -> "CoefficientSequence":
@@ -88,21 +118,7 @@ class CoefficientSequence:
             )
         if any(m < 1 for m in block_dims):
             raise ShapeMismatch(f"block dims must be positive, got {tuple(block_dims)}")
-        flat.setflags(write=False)
-        return cls._of_views(tuple(_split_last_axis(flat, block_dims)))
-
-    @classmethod
-    def _of_views(cls, parts: tuple) -> "CoefficientSequence":
-        """Wrap validated read-only parts, skipping ``__post_init__``'s copies."""
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "parts", parts)
-        return seq
-
-
-def _split_last_axis(a: np.ndarray, sizes) -> list:
-    """Consecutive slices of the last axis of ``a`` with lengths ``sizes``, as views."""
-    offsets = list(accumulate(sizes, initial=0))
-    return [a[..., x:y] for x, y in zip(offsets, offsets[1:])]
+        return cls._of_flat(flat, block_dims)
 
 
 def _check_vector(sys: GFrameSystem, f) -> np.ndarray:
@@ -118,16 +134,13 @@ def g_synthesis(sys: GFrameSystem, c: CoefficientSequence) -> np.ndarray:
         raise ShapeMismatch(
             f"coefficient shape {c.block_dims} does not match system {sys.block_dims}"
         )
-    out = np.zeros(sys.dim, dtype=np.complex128)
-    for b, part in zip(sys.blocks, c.parts):
-        out += b.conj().T @ part
-    return out
+    return stacked_analysis_matrix(sys).conj().T @ c.to_flat()
 
 
 def g_analysis(sys: GFrameSystem, f) -> CoefficientSequence:
     """``{Lambda_j f}_j``, the adjoint of synthesis."""
     v = _check_vector(sys, f)
-    return CoefficientSequence(tuple(b @ v for b in sys.blocks))
+    return CoefficientSequence._of_flat(stacked_analysis_matrix(sys) @ v, sys.block_dims)
 
 
 def g_frame_operator(sys: GFrameSystem) -> np.ndarray:
@@ -149,16 +162,12 @@ def induced_vectors(sys: GFrameSystem) -> VectorFrame:
     then k ascending, which fixes the correspondence used everywhere else
     (stacked matrices, coefficient flattening, file output).
     """
-    vectors = []
-    for b in sys.blocks:
-        for k in range(b.shape[0]):
-            vectors.append(np.conj(b[k, :]))
-    return VectorFrame(sys.dim, tuple(vectors))
+    return VectorFrame(sys.dim, tuple(np.conj(stacked_analysis_matrix(sys))))
 
 
 def stacked_analysis_matrix(sys: GFrameSystem) -> np.ndarray:
-    """All blocks stacked vertically: the (sum_j m_j) x n analysis matrix."""
-    return np.vstack(sys.blocks)
+    """All blocks stacked vertically: the read-only (sum_j m_j) x n analysis matrix."""
+    return sys._analysis
 
 
 def is_g_riesz_basis(sys: GFrameSystem, tol: float = DEFAULT_TOL) -> bool:
@@ -167,6 +176,5 @@ def is_g_riesz_basis(sys: GFrameSystem, tol: float = DEFAULT_TOL) -> bool:
     Finite-dimensionally that means ``sum_j m_j = n`` with an invertible
     stacked analysis matrix.
     """
-    if sys.total_block_dim != sys.dim:
-        return False
-    return is_riesz_basis(induced_vectors(sys), tol)
+    a = stacked_analysis_matrix(sys)
+    return a.shape[0] == sys.dim and _invertible_synthesis(a.conj().T, tol)

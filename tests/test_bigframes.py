@@ -12,13 +12,11 @@ from bgframes import (
     NotBiGFrame,
     ShapeMismatch,
     VectorFrame,
-    adjoint_identity_check,
     bi_g_frame_operator,
     canonical_pair,
     classify_bi_g_frame,
     classify_biframe,
     coefficient_identity_terms,
-    dual_pair_bessel_check,
     from_vector_biframe,
     g_frame_operator,
     g_synthesis,
@@ -26,16 +24,20 @@ from bgframes import (
     gen_negative,
     inner,
     lift_to_biframe,
-    pairing_sum,
     random_hermitian_pd,
     reconstruct,
-    riesz_transfer_check,
     solve_pd,
     solve_synthesis_coefficients,
     stacked_analysis_matrix,
     swap,
 )
 from conftest import cholesky_breakdown_pair, random_complex_vector
+from oracles import (
+    adjoint_identity_check,
+    dual_pair_bessel_check,
+    pairing_sum,
+    riesz_transfer_check,
+)
 
 NONHERM = BiGFrameSystem(
     GFrameSystem(2, (np.array([[1.0, 0.0]]),)),

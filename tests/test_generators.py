@@ -5,7 +5,6 @@ from bgframes import (
     GenSpec,
     NotPositiveDefinite,
     ShapeMismatch,
-    adjoint_identity_check,
     bi_g_frame_operator,
     classify_bi_g_frame,
     classify_g_frame,
@@ -17,6 +16,7 @@ from bgframes import (
     random_hermitian_pd,
 )
 from bgframes.generators import _complex_gaussian, _stream
+from oracles import adjoint_identity_check
 
 
 def test_same_seed_same_output():

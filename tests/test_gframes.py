@@ -173,11 +173,19 @@ def test_stacked_analysis_shape():
     stacked = stacked_analysis_matrix(MIXED)
     assert stacked.shape == (3, 2)
     np.testing.assert_array_equal(stacked[0], MIXED.blocks[0][0])
+    # One stored read-only matrix, copied from the input; blocks are views of it.
+    assert stacked is stacked_analysis_matrix(MIXED) and not stacked.flags.writeable
+    assert all(np.shares_memory(b, stacked) for b in MIXED.blocks)
+    source = np.eye(2)
+    sys = GFrameSystem(2, (source,))
+    source[0, 0] = 5.0
+    assert stacked_analysis_matrix(sys)[0, 0] == 1.0
 
 
 def test_coefficient_sequence_round_trip():
     c = CoefficientSequence((np.array([1.0 + 2j]), np.array([3.0, 4.0])))
     flat = c.to_flat()
+    assert not flat.flags.writeable and all(np.shares_memory(p, flat) for p in c.parts)
     back = CoefficientSequence.from_flat(flat, c.block_dims)
     for p, q in zip(c.parts, back.parts):
         np.testing.assert_array_equal(p, q)

@@ -11,7 +11,6 @@ from bgframes import (
     NotPositiveDefinite,
     NotSquare,
     ShapeMismatch,
-    adjoint_identity_check,
     as_matrix,
     hermitian_deviation,
     inner,
@@ -21,6 +20,7 @@ from bgframes import (
 from bgframes.frames import _spectral_report
 from bgframes.generators import random_hermitian_pd
 from bgframes.kernel import CholeskyFactor
+from oracles import adjoint_identity_check
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
