@@ -122,13 +122,12 @@ def _spectral_report(
     """The one classification core: deviation gate, then spectrum edges.
 
     ``hermitian_gates_bessel`` is false for Gram operators, which are
-    Bessel by construction at every ``tol``.
+    Hermitian and Bessel by construction: their deviation is rounding, so
+    it is reported but gates nothing.
     """
     dev = hermitian_deviation(op)
-    hermitian_ok = dev <= tol
-    is_bessel = hermitian_ok if hermitian_gates_bessel else True
-    if not hermitian_ok:
-        return ClassifyReport(is_bessel, False, False, False, is_riesz, None, dev, tol)
+    if hermitian_gates_bessel and dev > tol:
+        return ClassifyReport(False, False, False, False, is_riesz, None, dev, tol)
     h = 0.5 * (op + op.conj().T)
     w = np.linalg.eigvalsh(h)
     lo, hi = float(w[0]), float(w[-1])
@@ -136,7 +135,7 @@ def _spectral_report(
     is_tight = is_frame and (hi - lo) <= tol * hi
     is_parseval = is_tight and abs(hi - 1.0) <= tol
     bounds = FrameBounds(lo, hi) if is_frame else None
-    return ClassifyReport(is_bessel, is_frame, is_tight, is_parseval, is_riesz, bounds, dev, tol)
+    return ClassifyReport(True, is_frame, is_tight, is_parseval, is_riesz, bounds, dev, tol)
 
 
 def classify_frame(frame: VectorFrame, tol: float = DEFAULT_TOL) -> ClassifyReport:
@@ -169,7 +168,7 @@ def check_duality(f: VectorFrame, g: VectorFrame, tol: float = DEFAULT_TOL) -> b
     fm = synthesis_matrix(f)
     gm = synthesis_matrix(g)
     eye = np.eye(f.dim)
-    return (
+    return bool(
         np.linalg.norm(gm @ fm.conj().T - eye) <= tol
         and np.linalg.norm(fm @ gm.conj().T - eye) <= tol
     )

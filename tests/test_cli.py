@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def test_duplicate_system_names_rejected(capsys, tmp_path):
 
 
 def test_huge_integer_entry_is_input_error(capsys, tmp_path, instance_a_file):
-    doc = json.loads(open(instance_a_file, encoding="utf-8").read())
+    doc = json.loads(Path(instance_a_file).read_text(encoding="utf-8"))
     doc["systems"]["L"]["blocks"][0]["entries_re"][0] = 10**400
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
@@ -158,6 +159,20 @@ def test_check_small_tol_gives_a_verdict(capsys, tmp_path):
     assert code == 0
     assert '"is_frame": true' in out
     assert "Traceback" not in err
+
+
+def test_gram_rounding_does_not_decide_gcheck(capsys, tmp_path):
+    # L^H L is Hermitian by construction, but BLAS rounds its two triangles
+    # apart here (deviation ~6e-17), which must not decide a --tol 1e-18 verdict.
+    path = str(tmp_path / "g7.json")
+    code, _, _ = run_cli(
+        capsys, "gen", "--dim", "7", "--dims", "3,5,2", "--seed", "0", "--out", path
+    )
+    assert code == 0
+    code, out, _ = run_cli(capsys, "gcheck", path, "--system", "L", "--tol", "1e-18")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["verdicts"]["is_frame"] and doc["hermitian_deviation"] > 1e-18
 
 
 def test_cholesky_breakdown_is_a_numerical_failure(capsys, tmp_path):

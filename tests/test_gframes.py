@@ -3,6 +3,7 @@ import pytest
 
 from bgframes import (
     CoefficientSequence,
+    GenSpec,
     GFrameSystem,
     ShapeMismatch,
     classify_frame,
@@ -11,6 +12,7 @@ from bgframes import (
     g_analysis,
     g_frame_operator,
     g_synthesis,
+    gen_g_frame,
     induced_vectors,
     inner,
     is_g_riesz_basis,
@@ -160,6 +162,17 @@ def test_verdicts_invariant_under_block_rotations():
     assert abs(before.bounds.lower - after.bounds.lower) <= 1e-10
     assert abs(before.bounds.upper - after.bounds.upper) <= 1e-10
     assert is_g_riesz_basis(sys) == is_g_riesz_basis(rotated)
+
+
+def test_gram_rounding_does_not_decide_the_frame_verdict():
+    # S = A^H A is Hermitian by construction, but BLAS rounds its two
+    # triangles apart at this size: the deviation is reported, not gated on.
+    sys = gen_g_frame(GenSpec(7, (3, 5, 2), seed=0))
+    report = classify_g_frame(sys, tol=1e-18)
+    assert report.hermitian_deviation > 1e-18
+    assert report.is_bessel and report.is_frame
+    assert report.bounds.lower == pytest.approx(classify_g_frame(sys).bounds.lower, rel=1e-15)
+    assert classify_frame(induced_vectors(sys), tol=1e-18).is_frame
 
 
 def test_g_riesz_examples():

@@ -9,10 +9,16 @@ import bgframes
 from bgframes import (
     BiGFrameSystem,
     ClassifyReport,
+    ControlledSystem,
     GFrameSystem,
     NotBiGFrame,
+    VectorFrame,
     canonical_pair,
+    check_controlled_duality,
+    check_duality,
     classify_bi_g_frame,
+    is_g_riesz_basis,
+    is_riesz_basis,
 )
 
 PUBLIC_NAMES = [
@@ -57,3 +63,24 @@ def test_pair_reports_leave_riesz_unset(instance_a):
         canonical_pair(BiGFrameSystem(shift, GFrameSystem(2, (np.eye(2),))))
     assert isinstance(exc.value.report, ClassifyReport)
     assert exc.value.report.is_riesz is None and exc.value.report.inverse_norm is None
+
+
+def test_public_predicates_return_bool():
+    basis = VectorFrame(2, (np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+    swapped = VectorFrame(2, (np.array([0.0, 1.0]), np.array([1.0, 0.0])))
+    redundant = VectorFrame(2, (*basis.vectors, np.array([1.0, 1.0])))
+    controlled = ControlledSystem(basis, np.eye(2))
+    values = [
+        check_duality(basis, basis),
+        check_duality(basis, swapped),
+        check_controlled_duality(controlled, basis),
+        check_controlled_duality(controlled, swapped),
+        is_riesz_basis(basis),
+        is_riesz_basis(redundant),
+        is_riesz_basis(VectorFrame(2, (np.array([1.0, 0.0]), np.array([2.0, 0.0])))),
+        is_g_riesz_basis(GFrameSystem(2, (np.eye(2),))),
+        is_g_riesz_basis(GFrameSystem(2, (np.ones((2, 2)),))),
+        is_g_riesz_basis(GFrameSystem(2, (np.eye(2), np.eye(2)))),
+    ]
+    assert values == [True, False, True, False, True, False, False, True, False, False]
+    assert all(type(v) is bool for v in values)
