@@ -381,11 +381,10 @@ def test_lift_agrees_on_random_pairs():
         pair_report = classify_bi_g_frame(sys)
         u, v = lift_to_biframe(sys)
         lift_report = classify_biframe(u, v)
-        assert pair_report.is_frame == lift_report.is_frame
-        assert pair_report.is_bessel == lift_report.is_bessel
-        if pair_report.is_frame:
-            assert abs(pair_report.bounds.lower - lift_report.bounds.lower) <= 1e-10
-            assert abs(pair_report.bounds.upper - lift_report.bounds.upper) <= 1e-10
+        fields = ("is_bessel", "is_frame", "is_tight", "is_parseval", "bounds",
+                  "hermitian_deviation")
+        for name in fields:
+            assert getattr(lift_report, name) == getattr(pair_report, name), name
 
 
 def test_riesz_transfer_instance_a(instance_a):
