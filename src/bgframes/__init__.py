@@ -27,10 +27,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .frames import (
-    ClassifyReport,
     ControlledSystem,
-    FrameBounds,
-    VectorFrame,
     canonical_dual,
     check_controlled_duality,
     check_duality,
@@ -52,6 +49,7 @@ from .generators import (
 from .gframes import (
     CoefficientSequence,
     GFrameSystem,
+    VectorFrame,
     classify_g_frame,
     g_analysis,
     g_frame_operator,
@@ -62,6 +60,8 @@ from .gframes import (
 )
 from .kernel import (
     DEFAULT_TOL,
+    ClassifyReport,
+    FrameBounds,
     as_matrix,
     as_vector,
     hermitian_deviation,

@@ -17,16 +17,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConstraintViolated, NotBiGFrame, ShapeMismatch
-from .frames import ClassifyReport, VectorFrame, _check_same_shape, _spectral_report
 from .gframes import (
     CoefficientSequence,
     GFrameSystem,
+    VectorFrame,
     _check_vector,
+    _functionals,
     g_synthesis,
     induced_vectors,
     stacked_analysis_matrix,
 )
-from .kernel import DEFAULT_TOL, CholeskyFactor, inner, operator_norm
+from .kernel import (
+    DEFAULT_TOL,
+    CholeskyFactor,
+    ClassifyReport,
+    _spectral_report,
+    inner,
+    operator_norm,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,8 +264,10 @@ def from_vector_biframe(f_list: VectorFrame, g_list: VectorFrame) -> BiGFrameSys
     pair's mixed sums coincide with the vector biframe sums and
     ``lift_to_biframe`` returns the original families.
     """
-    _check_same_shape(f_list, g_list)
-    lam = GFrameSystem(f_list.dim, tuple(np.conj(v)[None, :] for v in f_list.vectors))
-    gam = GFrameSystem(g_list.dim, tuple(np.conj(v)[None, :] for v in g_list.vectors))
-    return BiGFrameSystem(lam, gam)
+    if f_list.dim != g_list.dim or len(f_list) != len(g_list):
+        raise ShapeMismatch(
+            f"families do not match: dims {f_list.dim}/{g_list.dim}, "
+            f"sizes {len(f_list)}/{len(g_list)}"
+        )
+    return BiGFrameSystem(_functionals(f_list), _functionals(g_list))
 

@@ -35,7 +35,7 @@ class NotInvertibleController(FrameToolError):
 class NotBiGFrame(FrameToolError):
     """An operation requiring a bi-g-frame was called on a pair that is not one.
 
-    Carries the ``report`` (a :class:`bgframes.frames.ClassifyReport`) that
+    Carries the ``report`` (a :class:`bgframes.kernel.ClassifyReport`) that
     triggered the rejection, when available.
     """
 

@@ -1,12 +1,14 @@
 """Operator-valued frames: families of blocks Lambda_j mapping C^n into
-C^{m_j}, their synthesis/analysis maps, operator, and induced vectors.
+C^{m_j}, their synthesis/analysis maps, operator, and induced vectors;
+and vector families, which are g-frames of rank-one blocks.
 
-This module is the only one that knows how blocks are laid out. A system
+This module is the only one that knows how families are laid out. A system
 stores its blocks as one read-only (sum_j m_j) x n analysis matrix, block
 j ascending, and ``blocks`` holds row views of it; a coefficient sequence
 stores one read-only flat vector in the same order, and ``parts`` holds
-views of it. Every map is one matrix product of these arrays, reproducible
-for a fixed BLAS build and thread count.
+views of it; a vector family stores one read-only |J| x n matrix whose row
+j is f_j, and ``vectors`` holds row views of it. Every map is one matrix
+product of these arrays, reproducible for a fixed BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ShapeMismatch
-from .frames import ClassifyReport, VectorFrame, _invertible_synthesis, _spectral_report
-from .kernel import DEFAULT_TOL, as_matrix, as_vector
+from .kernel import DEFAULT_TOL, ClassifyReport, _spectral_report, as_matrix, as_vector
 
 
 def _views(stacked: np.ndarray, sizes: tuple) -> tuple:
@@ -70,6 +71,34 @@ class GFrameSystem:
     @property
     def total_block_dim(self) -> int:
         return self._analysis.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class VectorFrame:
+    """An ordered, nonempty family of vectors in C^dim."""
+
+    dim: int
+    vectors: tuple
+    _rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ShapeMismatch(f"dimension must be positive, got {self.dim}")
+        vecs = tuple(as_vector(v) for v in self.vectors)
+        if not vecs:
+            raise ShapeMismatch("a frame needs at least one vector")
+        for k, v in enumerate(vecs):
+            if v.shape[0] != self.dim:
+                raise ShapeMismatch(
+                    f"vector {k} has length {v.shape[0]}, expected {self.dim}"
+                )
+        rows = np.vstack(vecs)
+        rows.setflags(write=False)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "vectors", tuple(rows))
+
+    def __len__(self):
+        return self._rows.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +194,12 @@ def induced_vectors(sys: GFrameSystem) -> VectorFrame:
     return VectorFrame(sys.dim, tuple(np.conj(stacked_analysis_matrix(sys))))
 
 
+def _functionals(frame: VectorFrame) -> GFrameSystem:
+    """The g-frame of the functionals ``Lambda_j = f_j*``: one 1 x n block per
+    vector, the conjugated row. The inverse of :func:`induced_vectors`."""
+    return GFrameSystem._of_stacked(frame.dim, np.conj(frame._rows), (1,) * len(frame))
+
+
 def stacked_analysis_matrix(sys: GFrameSystem) -> np.ndarray:
     """All blocks stacked vertically: the read-only (sum_j m_j) x n analysis matrix."""
     return sys._analysis
@@ -177,4 +212,7 @@ def is_g_riesz_basis(sys: GFrameSystem, tol: float = DEFAULT_TOL) -> bool:
     stacked analysis matrix.
     """
     a = stacked_analysis_matrix(sys)
-    return a.shape[0] == sys.dim and _invertible_synthesis(a.conj().T, tol)
+    if a.shape[0] != sys.dim:
+        return False
+    s = np.linalg.svd(a.conj().T, compute_uv=False)
+    return bool(s[-1] > tol * s[0])

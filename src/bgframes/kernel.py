@@ -1,4 +1,5 @@
-"""Dense complex-matrix primitives: Hermitian deviation, the PD gate, PD solves.
+"""Dense complex-matrix primitives: Hermitian deviation, the PD gate, PD solves,
+and the one classification core, which turns an operator into a report.
 
 Everything downstream (frame layers, generators, CLI) goes through this
 module for its numerics. All functions are pure; inputs are validated and
@@ -80,6 +81,62 @@ def positive_definite(lo: float, hi: float, ratio: float) -> bool:
     """The positive-definiteness gate on the spectrum edges of a Hermitian
     matrix: ``lambda_min > ratio * max(lambda_max, 0)``."""
     return lo > ratio * max(hi, 0.0)
+
+
+@dataclass(frozen=True)
+class FrameBounds:
+    """Optimal lower/upper frame constants; ``0 < lower <= upper``."""
+
+    lower: float
+    upper: float
+
+    def __post_init__(self):
+        if not (0.0 < self.lower <= self.upper):
+            raise ValueError(f"invalid bounds: ({self.lower}, {self.upper})")
+
+
+@dataclass(frozen=True)
+class ClassifyReport:
+    """Verdicts for one classified family or pair.
+
+    ``bounds`` is present exactly when ``is_frame`` holds; verdicts satisfy
+    parseval => tight => frame => bessel. ``hermitian_deviation`` refers to
+    the operator the verdict was computed from. ``is_riesz`` is ``None`` on
+    pair reports, which do not compute it; ``inverse_norm`` (the operator
+    norm of S^-1) is set only by ``classify_bi_g_frame``, on frames.
+    """
+
+    is_bessel: bool
+    is_frame: bool
+    is_tight: bool
+    is_parseval: bool
+    is_riesz: bool | None
+    bounds: FrameBounds | None
+    hermitian_deviation: float
+    tolerance: float
+    inverse_norm: float | None = None
+
+
+def _spectral_report(
+    op: np.ndarray, tol: float, hermitian_gates_bessel: bool, is_riesz: bool | None = None
+) -> ClassifyReport:
+    """The one classification core: deviation gate, then spectrum edges.
+
+    ``hermitian_gates_bessel`` is false for Gram operators, which are
+    Hermitian and Bessel by construction: their deviation is rounding, so
+    it is reported but gates nothing.
+    """
+    dev = hermitian_deviation(op)
+    if hermitian_gates_bessel and dev > tol:
+        return ClassifyReport(False, False, False, False, is_riesz, None, dev, tol)
+    h = 0.5 * (op + op.conj().T)
+    w = np.linalg.eigvalsh(h)
+    lo, hi = float(w[0]), float(w[-1])
+    is_frame = positive_definite(lo, hi, tol)
+    is_tight = is_frame and (hi - lo) <= tol * hi
+    is_parseval = is_tight and abs(hi - 1.0) <= tol
+    bounds = FrameBounds(lo, hi) if is_frame else None
+    return ClassifyReport(True, is_frame, is_tight, is_parseval, is_riesz, bounds, dev, tol)
 
 
 @dataclass(frozen=True, eq=False)

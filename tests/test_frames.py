@@ -50,6 +50,14 @@ def test_synthesis_stacks_columns():
     np.testing.assert_array_equal(synthesis_matrix(single), np.array([[3.0], [4.0]]))
 
 
+def test_synthesis_matrix_is_a_read_only_view_of_the_vectors():
+    source = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])]
+    frame = VectorFrame(2, tuple(source))
+    t = synthesis_matrix(frame)
+    assert not t.flags.writeable and all(np.shares_memory(v, t) for v in frame.vectors)
+    assert not any(np.shares_memory(v, t) for v in source)
+
+
 def test_frame_operator_examples():
     np.testing.assert_allclose(frame_operator(ORTHO_2), np.eye(2), atol=1e-15)
     np.testing.assert_allclose(frame_operator(REDUNDANT), np.diag([2.0, 1.0]), atol=1e-15)

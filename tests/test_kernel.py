@@ -17,9 +17,8 @@ from bgframes import (
     operator_norm,
     solve_pd,
 )
-from bgframes.frames import _spectral_report
 from bgframes.generators import random_hermitian_pd
-from bgframes.kernel import CholeskyFactor
+from bgframes.kernel import CholeskyFactor, _spectral_report
 from oracles import adjoint_identity_check
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,12 @@ PUBLIC_NAMES = [
     "induced_vectors", "inner", "is_g_riesz_basis", "is_riesz_basis", "lift_to_biframe",
     "operator_norm", "random_hermitian_pd", "reconstruct", "solve_pd",
     "solve_synthesis_coefficients", "stacked_analysis_matrix", "swap", "synthesis_matrix",
+]
+
+
+# Each module may import only from modules before it.
+MODULE_STACK = [
+    "errors", "kernel", "gframes", "bigframes", "frames", "generators", "fileio", "cli",
 ]
 
 
@@ -84,3 +92,14 @@ def test_public_predicates_return_bool():
     ]
     assert values == [True, False, True, False, True, False, False, True, False, False]
     assert all(type(v) is bool for v in values)
+
+
+def test_modules_import_down_the_stack():
+    package = Path(bgframes.__file__).parent
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    assert modules == sorted(MODULE_STACK)
+    for position, name in enumerate(MODULE_STACK):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                assert node.module in MODULE_STACK[:position], (name, node.module)
