@@ -129,6 +129,18 @@ def _base_doc(command: str, args, tol: float) -> dict:
     }
 
 
+def _open_pair(args, command: str):
+    """Tolerance, input file, pair and the report's opening fields. The input
+    is hashed here, before the command can write anything (``--out`` may name
+    the input)."""
+    tol = _tol(args)
+    frame_file = load_frame_file(args.file)
+    system = _pair(frame_file, args.pair, args.file)
+    doc = _base_doc(command, args, tol)
+    doc["pair"] = list(args.pair)
+    return tol, frame_file, system, doc
+
+
 def _verdict_doc(report) -> dict:
     return {
         "is_bessel": report.is_bessel,
@@ -138,24 +150,32 @@ def _verdict_doc(report) -> dict:
     }
 
 
+def _bounds_doc(report) -> dict:
+    return {"lower": report.bounds.lower, "upper": report.bounds.upper}
+
+
+def _negative(doc, report) -> int:
+    """Report a pair that is not a bi-g-frame: its verdicts, exit 1."""
+    doc["verdicts"] = _verdict_doc(report)
+    doc["hermitian_deviation"] = report.hermitian_deviation
+    _emit(doc)
+    return 1
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def _cmd_check(args, bounds_only: bool = False) -> int:
-    tol = _tol(args)
-    frame_file = load_frame_file(args.file)
-    system = _pair(frame_file, args.pair, args.file)
+    tol, _, system, doc = _open_pair(args, "bounds" if bounds_only else "check")
     report = classify_bi_g_frame(system, tol)
-    doc = _base_doc("bounds" if bounds_only else "check", args, tol)
-    doc["pair"] = list(args.pair)
     if bounds_only:
         doc["is_frame"] = report.is_frame
     else:
         doc["verdicts"] = _verdict_doc(report)
         doc["hermitian_deviation"] = report.hermitian_deviation
     if report.is_frame:
-        doc["bounds"] = {"lower": report.bounds.lower, "upper": report.bounds.upper}
+        doc["bounds"] = _bounds_doc(report)
         if not bounds_only:
             doc["inverse_norm"] = report.inverse_norm
     _emit(doc)
@@ -177,24 +197,17 @@ def _cmd_gcheck(args) -> int:
     doc["verdicts"]["is_riesz"] = report.is_riesz
     doc["hermitian_deviation"] = report.hermitian_deviation
     if report.is_frame:
-        doc["bounds"] = {"lower": report.bounds.lower, "upper": report.bounds.upper}
+        doc["bounds"] = _bounds_doc(report)
     _emit(doc)
     return 0 if report.is_frame else 1
 
 
 def _cmd_dual(args) -> int:
-    tol = _tol(args)
-    frame_file = load_frame_file(args.file)
+    tol, frame_file, system, doc = _open_pair(args, "dual")
     lname, gname = args.pair
-    system = _pair(frame_file, args.pair, args.file)
     report = classify_bi_g_frame(system, tol)
-    doc = _base_doc("dual", args, tol)
-    doc["pair"] = list(args.pair)
-    doc["verdicts"] = _verdict_doc(report)
-    doc["hermitian_deviation"] = report.hermitian_deviation
     if not report.is_frame:
-        _emit(doc)
-        return 1
+        return _negative(doc, report)
     dual = canonical_pair(system, tol)
     out_systems = dict(frame_file.systems)
     out_systems[f"{lname}~"] = dual.lam
@@ -203,7 +216,9 @@ def _cmd_dual(args) -> int:
         args.out,
         FrameFile(dim=frame_file.dim, systems=out_systems, vectors=frame_file.vectors),
     )
-    doc["bounds"] = {"lower": report.bounds.lower, "upper": report.bounds.upper}
+    doc["verdicts"] = _verdict_doc(report)
+    doc["hermitian_deviation"] = report.hermitian_deviation
+    doc["bounds"] = _bounds_doc(report)
     doc["written"] = [f"{lname}~", f"{gname}~"]
     doc["out"] = args.out
     _emit(doc)
@@ -211,20 +226,13 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    tol = _tol(args)
-    frame_file = load_frame_file(args.file)
-    system = _pair(frame_file, args.pair, args.file)
+    tol, frame_file, system, doc = _open_pair(args, "reconstruct")
     vectors = _lookup(frame_file.vectors, "vectors entry", args.vector, args.file)
     report = classify_bi_g_frame(system, tol)
-    doc = _base_doc("reconstruct", args, tol)
-    doc["pair"] = list(args.pair)
     doc["vector"] = args.vector
     doc["variant"] = args.variant
     if not report.is_frame:
-        doc["verdicts"] = _verdict_doc(report)
-        doc["hermitian_deviation"] = report.hermitian_deviation
-        _emit(doc)
-        return 1
+        return _negative(doc, report)
     residuals = []
     for vec in vectors:
         rebuilt = reconstruct(system, vec, args.variant, tol)
@@ -240,10 +248,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    tol = _tol(args)
-    frame_file = load_frame_file(args.file)
+    tol, frame_file, system, doc = _open_pair(args, "lift")
     lname, gname = args.pair
-    system = _pair(frame_file, args.pair, args.file)
     pair_report = classify_bi_g_frame(system, tol)
     u, v = lift_to_biframe(system)
     lift_report = classify_biframe(u, v, tol)
@@ -254,16 +260,11 @@ def _cmd_lift(args) -> int:
         args.out,
         FrameFile(dim=frame_file.dim, systems=frame_file.systems, vectors=out_vectors),
     )
-    doc = _base_doc("lift", args, tol)
-    doc["pair"] = list(args.pair)
     doc["pair_verdicts"] = _verdict_doc(pair_report)
     doc["lift_verdicts"] = _verdict_doc(lift_report)
     doc["verdicts_agree"] = doc["pair_verdicts"] == doc["lift_verdicts"]
     if lift_report.is_frame:
-        doc["bounds"] = {
-            "lower": lift_report.bounds.lower,
-            "upper": lift_report.bounds.upper,
-        }
+        doc["bounds"] = _bounds_doc(lift_report)
     doc["written"] = [f"{lname}_lifted", f"{gname}_lifted"]
     doc["out"] = args.out
     _emit(doc)
@@ -312,12 +313,8 @@ def _perturbed(particular, nullbasis, rng) -> CoefficientSequence:
 
 
 def _cmd_identity(args) -> int:
-    tol = _tol(args)
-    frame_file = load_frame_file(args.file)
-    system = _pair(frame_file, args.pair, args.file)
+    tol, frame_file, system, doc = _open_pair(args, "identity")
     vectors = _lookup(frame_file.vectors, "vectors entry", args.vector, args.file)
-    doc = _base_doc("identity", args, tol)
-    doc["pair"] = list(args.pair)
     doc["vector"] = args.vector
     doc["perturbations"] = args.perturb
     try:
@@ -353,10 +350,7 @@ def _cmd_identity(args) -> int:
                     }
                 )
     except NotBiGFrame as exc:
-        doc["verdicts"] = _verdict_doc(exc.report)
-        doc["hermitian_deviation"] = exc.report.hermitian_deviation
-        _emit(doc)
-        return 1
+        return _negative(doc, exc.report)
     doc["results"] = results
     doc["ok"] = all_ok
     _emit(doc)
@@ -380,16 +374,15 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"verdict tolerance (default: ${_TOL_ENV} or {DEFAULT_TOL})",
     )
+    pair = argparse.ArgumentParser(add_help=False, parents=[common])
+    pair.add_argument("file")
+    pair.add_argument("--pair", type=_pair_names, required=True, metavar="L,G")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("check", parents=[common], help="classify a pair of systems")
-    p.add_argument("file")
-    p.add_argument("--pair", type=_pair_names, required=True, metavar="L,G")
+    p = sub.add_parser("check", parents=[pair], help="classify a pair of systems")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("bounds", parents=[common], help="bounds-only pair check")
-    p.add_argument("file")
-    p.add_argument("--pair", type=_pair_names, required=True, metavar="L,G")
+    p = sub.add_parser("bounds", parents=[pair], help="bounds-only pair check")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("gcheck", parents=[common], help="classify a single system")
@@ -397,22 +390,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, metavar="NAME")
     p.set_defaults(func=_cmd_gcheck)
 
-    p = sub.add_parser("dual", parents=[common], help="write the canonical dual pair")
-    p.add_argument("file")
-    p.add_argument("--pair", type=_pair_names, required=True, metavar="L,G")
+    p = sub.add_parser("dual", parents=[pair], help="write the canonical dual pair")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_dual)
 
-    p = sub.add_parser("reconstruct", parents=[common], help="reconstruction residuals")
-    p.add_argument("file")
-    p.add_argument("--pair", type=_pair_names, required=True, metavar="L,G")
+    p = sub.add_parser("reconstruct", parents=[pair], help="reconstruction residuals")
     p.add_argument("--vector", required=True, metavar="NAME")
     p.add_argument("--variant", type=int, choices=(1, 2), required=True)
     p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser("lift", parents=[common], help="write induced vector families")
-    p.add_argument("file")
-    p.add_argument("--pair", type=_pair_names, required=True, metavar="L,G")
+    p = sub.add_parser("lift", parents=[pair], help="write induced vector families")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_lift)
 
@@ -430,10 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("identity", parents=[common],
+    p = sub.add_parser("identity", parents=[pair],
                        help="coefficient-identity report for a pair")
-    p.add_argument("file")
-    p.add_argument("--pair", type=_pair_names, required=True, metavar="L,G")
     p.add_argument("--vector", required=True, metavar="NAME")
     p.add_argument("--perturb", type=_count, default=0, metavar="K")
     p.add_argument("--side", choices=("both", "gamma", "lambda"), default="both")
@@ -447,9 +432,6 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NotBiGFrame as exc:
         print(f"negative: {exc}", file=sys.stderr)
         return 1

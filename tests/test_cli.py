@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -265,6 +266,17 @@ def test_lift_writes_vector_lists(capsys, tmp_path, instance_a_file):
     assert "L_lifted" in written.vectors and "G_lifted" in written.vectors
     assert len(written.vectors["L_lifted"]) == 3
     np.testing.assert_allclose(written.vectors["G_lifted"][0], [2.0, 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("command", ["dual", "lift"])
+def test_out_over_the_input_reports_the_input_hash(capsys, instance_a_file, command):
+    original = hashlib.sha256(Path(instance_a_file).read_bytes()).hexdigest()
+    code, out, _ = run_cli(
+        capsys, command, instance_a_file, "--pair", "L,G", "--out", instance_a_file
+    )
+    assert code == 0
+    assert json.loads(out)["input_sha256"] == original
+    assert hashlib.sha256(Path(instance_a_file).read_bytes()).hexdigest() != original
 
 
 def test_identity_command(capsys, instance_a_file):
