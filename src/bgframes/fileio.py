@@ -40,7 +40,8 @@ SCHEMA_VERSION = "1"
 def _format_float(x: float) -> str:
     if not np.isfinite(x):
         raise ValueError("cannot serialize non-finite float")
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text  # "-0" would load as the integer 0
 
 
 def _write(value, out, indent: int) -> None:
@@ -144,7 +145,8 @@ def _expect_number_list(value, path: str, length: int) -> np.ndarray:
 def _parse_complex_entries(obj: dict, path: str, rows: int, cols: int) -> np.ndarray:
     re = _expect_number_list(obj.get("entries_re"), f"{path}.entries_re", rows * cols)
     im = _expect_number_list(obj.get("entries_im"), f"{path}.entries_im", rows * cols)
-    return (re + 1j * im).reshape(rows, cols)
+    # Pairing the halves in memory keeps the sign of every zero; re + 1j * im would not.
+    return np.stack((re, im), axis=-1).view(np.complex128).reshape(rows, cols)
 
 
 def _parse_block(obj, path: str, dim: int) -> np.ndarray:
