@@ -196,7 +196,7 @@ def induced_vectors(sys: GFrameSystem) -> VectorFrame:
 
 def _functionals(frame: VectorFrame) -> GFrameSystem:
     """The g-frame of the functionals ``Lambda_j = f_j*``: one 1 x n block per
-    vector, the conjugated row. The inverse of :func:`induced_vectors`."""
+    vector, the conjugated row. :func:`induced_vectors` turns it back into ``frame``."""
     return GFrameSystem._of_stacked(frame.dim, np.conj(frame._rows), (1,) * len(frame))
 
 
@@ -209,7 +209,7 @@ def is_g_riesz_basis(sys: GFrameSystem, tol: float = DEFAULT_TOL) -> bool:
     """True when the induced vectors form a Riesz basis.
 
     Finite-dimensionally that means ``sum_j m_j = n`` with an invertible
-    stacked analysis matrix.
+    stacked analysis matrix: ``s_min > tol * s_max``.
     """
     a = stacked_analysis_matrix(sys)
     if a.shape[0] != sys.dim:
