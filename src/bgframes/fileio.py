@@ -16,7 +16,11 @@ The on-disk schema (version "1") stores complex data as parallel
     }
 
 Serialization is deterministic: insertion-ordered keys and floats printed
-with 17 significant digits, which round-trips IEEE doubles exactly.
+with 17 significant digits, which round-trips IEEE doubles exactly, and a
+negative zero as ``-0.0``. Floats are formatted per array: the document
+holds each ``entries_re`` / ``entries_im`` as one 1-d float64 array. A save
+builds the whole text before it opens the target, so a save that fails
+leaves the file as it was.
 """
 
 from __future__ import annotations
@@ -37,11 +41,14 @@ SCHEMA_VERSION = "1"
 # Deterministic JSON writing
 
 
-def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+def _float_tokens(arr: np.ndarray) -> list:
+    """The JSON text of each float of a 1-d float64 array."""
+    if not np.isfinite(arr).all():
         raise ValueError("cannot serialize non-finite float")
-    text = format(float(x), ".17g")
-    return "-0.0" if text == "-0" else text  # "-0" would load as the integer 0
+    tokens = [format(x, ".17g") for x in arr.tolist()]
+    for i in np.flatnonzero((arr == 0) & np.signbit(arr)).tolist():
+        tokens[i] = "-0.0"  # "-0" would load as the integer 0
+    return tokens
 
 
 def _write(value, out, indent: int) -> None:
@@ -56,6 +63,10 @@ def _write(value, out, indent: int) -> None:
             _write(item, out, indent + 1)
             out.append(",\n" if i < len(value) - 1 else "\n")
         out.append(pad + "}")
+    elif isinstance(value, np.ndarray):
+        if value.dtype != np.float64 or value.ndim != 1:
+            raise TypeError(f"cannot serialize a {value.ndim}-d {value.dtype} array")
+        out.append("[" + ", ".join(_float_tokens(value)) + "]")
     elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, item in enumerate(value):
@@ -68,7 +79,7 @@ def _write(value, out, indent: int) -> None:
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
-        out.append(_format_float(value))
+        out.append(_float_tokens(np.array([value], dtype=np.float64))[0])
     elif isinstance(value, str):
         out.append(json.dumps(value))
     elif value is None:
@@ -130,9 +141,10 @@ def _expect_number_list(value, path: str, length: int) -> np.ndarray:
         _fail(path, f"expected an array, got {type(value).__name__}")
     if len(value) != length:
         _fail(path, f"expected {length} values, got {len(value)}")
-    for i, x in enumerate(value):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            _fail(f"{path}[{i}]", "expected a number")
+    if not set(map(type, value)) <= {int, float}:  # subclasses and errors take the loop
+        for i, x in enumerate(value):
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                _fail(f"{path}[{i}]", "expected a number")
     try:
         arr = np.asarray(value, dtype=np.float64)
     except OverflowError:  # an integer literal beyond the double range
@@ -222,16 +234,14 @@ def load_frame_file(path) -> FrameFile:
 def _block_doc(block: np.ndarray) -> dict:
     return {
         "rows": int(block.shape[0]),
-        "entries_re": [float(x) for x in block.real.ravel()],
-        "entries_im": [float(x) for x in block.imag.ravel()],
+        "entries_re": block.real.ravel(),
+        "entries_im": block.imag.ravel(),
     }
 
 
-def _vector_doc(vec: np.ndarray) -> dict:
-    return {
-        "entries_re": [float(x) for x in vec.real],
-        "entries_im": [float(x) for x in vec.imag],
-    }
+def _vector_doc(vec) -> dict:
+    v = np.asarray(vec, dtype=np.complex128)  # vectors reach here as the caller made them
+    return {"entries_re": v.real, "entries_im": v.imag}
 
 
 def frame_file_doc(data: FrameFile) -> dict:
@@ -252,8 +262,9 @@ def frame_file_doc(data: FrameFile) -> dict:
 
 
 def save_frame_file(path, data: FrameFile) -> None:
+    text = dumps_json(frame_file_doc(data))  # before open() truncates the target
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_json(frame_file_doc(data)))
+        handle.write(text)
         handle.write("\n")
 
 
@@ -271,9 +282,9 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(path, matrix) -> None:
-    m = np.asarray(matrix, dtype=np.complex128)
+    text = dumps_json(_block_doc(np.asarray(matrix, dtype=np.complex128)))
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_json(_block_doc(m)))
+        handle.write(text)
         handle.write("\n")
 
 

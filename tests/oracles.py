@@ -2,8 +2,9 @@
 
 Each oracle reaches the package through its public API only, so it checks
 the library's own route instead of reusing it: the pairing sum is
-evaluated block by block, and the dual probes solve with the pair
-operator's adjoint directly, not through the library's Cholesky factor.
+evaluated block by block, the dual probes solve with the pair operator's
+adjoint directly, not through the library's Cholesky factor, and frame
+file floats are formatted one at a time, not per array.
 """
 
 import numpy as np
@@ -88,3 +89,13 @@ def riesz_transfer_check(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> bool:
     if not report.is_frame:
         raise NotBiGFrame("pair is not a bi-g-frame", report=report)
     return is_g_riesz_basis(sys.lam, tol) == is_g_riesz_basis(sys.gam, tol)
+
+
+def format_float(x: float) -> str:
+    """One float as frame files write it: 17 significant digits, which
+    round-trips every double, and a negative zero as ``-0.0``, since
+    ``-0`` would load as the integer 0. Non-finite floats raise."""
+    if not np.isfinite(x):
+        raise ValueError("cannot serialize non-finite float")
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text
