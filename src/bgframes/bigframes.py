@@ -82,13 +82,87 @@ def bi_g_frame_operator(sys: BiGFrameSystem) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _PreparedPair:
-    """A pair's verdicts and, for a frame, the Cholesky factor of the
-    Hermitian part H of its operator S, which S* shares. Built once per
-    public call; only :func:`classify_bi_g_frame` sets ``inverse_norm``."""
+    """A pair's verdicts and, for a frame, the Cholesky factor of the Hermitian
+    part H of its operator S, which S* shares. The pair operations are methods
+    that read ``report.tolerance`` and check their arguments before the frame gate."""
 
     sys: BiGFrameSystem
     report: ClassifyReport
     factor: CholeskyFactor | None
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """``H^-1 b``; raises ``NotBiGFrame`` unless the pair is a bi-g-frame."""
+        if self.factor is None:
+            report = self.report
+            raise NotBiGFrame(
+                f"pair is not a bi-g-frame: hermitian deviation "
+                f"{report.hermitian_deviation:.3e}, tol {report.tolerance:.3e}", report=report
+            )
+        return self.factor.solve(b)
+
+    def _families(self, side: str) -> tuple:
+        """``(analysis, synthesis)``: ``(Lambda, Gamma)`` on the gamma side, else swapped."""
+        if side not in ("gamma", "lambda"):
+            raise ValueError(f"side must be 'gamma' or 'lambda', got {side!r}")
+        sys = self.sys
+        return (sys.lam, sys.gam) if side == "gamma" else (sys.gam, sys.lam)
+
+    def classified(self) -> ClassifyReport:
+        """The report, with ``inverse_norm`` from an explicit solve on frames."""
+        if self.factor is None:
+            return self.report
+        inverse = self.factor.solve(np.eye(self.sys.dim, dtype=np.complex128))
+        return replace(self.report, inverse_norm=operator_norm(inverse))
+
+    def dual(self) -> DualPair:
+        """Both dual families from one solve against ``[Lambda^H | Gamma^H]``."""
+        sys = self.sys
+        stacked = np.vstack((stacked_analysis_matrix(sys.lam), stacked_analysis_matrix(sys.gam)))
+        lam, gam = np.split(self._solve(stacked.conj().T).conj().T, 2)
+        return DualPair(
+            lam=GFrameSystem._of_stacked(sys.dim, lam, sys.block_dims),
+            gam=GFrameSystem._of_stacked(sys.dim, gam, sys.block_dims),
+        )
+
+    def reconstruct(self, f, variant: int) -> np.ndarray:
+        if variant not in (1, 2):
+            raise ValueError(f"variant must be 1 or 2, got {variant!r}")
+        v = _check_vector(self.sys, f)
+        a_lam, a_gam = stacked_analysis_matrix(self.sys.lam), stacked_analysis_matrix(self.sys.gam)
+        if variant == 1:
+            return a_gam.conj().T @ (a_lam @ self._solve(v))
+        # (Gamma_j (S*)^-1)* = (S*)^-1-solve applied to Gamma_j*.
+        return self._solve(a_gam.conj().T) @ (a_lam @ v)
+
+    def particular(self, f, side: str) -> CoefficientSequence:
+        """The dual-analysis coefficients of ``f`` on ``side``."""
+        analysis, _ = self._families(side)
+        y = self._solve(_check_vector(self.sys, f))
+        flat = stacked_analysis_matrix(analysis) @ y
+        return CoefficientSequence._of_flat(flat, self.sys.block_dims)
+
+    def null_basis(self, side: str) -> list:
+        """An orthonormal basis of the null space of ``side``'s synthesis map."""
+        _, synthesis = self._families(side)
+        _, s, vh = np.linalg.svd(stacked_analysis_matrix(synthesis).conj().T, full_matrices=True)
+        rank = int(np.sum(s > self.report.tolerance * s[0])) if s.size else 0
+        dims = self.sys.block_dims
+        return [CoefficientSequence._of_flat(row, dims) for row in np.conj(vh[rank:])]
+
+    def identity_terms(self, f, g: CoefficientSequence, side: str) -> tuple:
+        _, synthesis = self._families(side)
+        v = _check_vector(self.sys, f)
+        residual = float(np.linalg.norm(g_synthesis(synthesis, g) - v))
+        if residual > self.report.tolerance * (1.0 + float(np.linalg.norm(v))):
+            raise ConstraintViolated(
+                f"coefficients do not synthesize the vector: residual {residual:.3e}"
+            )
+        y = self._solve(v)
+        lam_y = stacked_analysis_matrix(self.sys.lam) @ y
+        gam_y = stacked_analysis_matrix(self.sys.gam) @ y
+        c = g.to_flat()
+        first = inner(c, c - gam_y) if side == "gamma" else inner(c - lam_y, c)
+        return g.norm_sq(), first + inner(lam_y, gam_y)
 
 
 def _prepare(sys: BiGFrameSystem, tol: float) -> _PreparedPair:
@@ -113,39 +187,12 @@ def classify_bi_g_frame(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> Classi
     explicit solve, so the classical ``<= 1/C`` estimate stays a genuine
     cross-check). ``is_riesz`` is ``None``: pair reports do not compute it.
     """
-    prepared = _prepare(sys, tol)
-    if not prepared.report.is_frame:
-        return prepared.report
-    inverse_norm = operator_norm(prepared.factor.solve(np.eye(sys.dim, dtype=np.complex128)))
-    return replace(prepared.report, inverse_norm=inverse_norm)
-
-
-def _require_frame(sys: BiGFrameSystem, tol: float) -> _PreparedPair:
-    prepared = _prepare(sys, tol)
-    if not prepared.report.is_frame:
-        raise NotBiGFrame(
-            "pair is not a bi-g-frame: "
-            f"hermitian deviation {prepared.report.hermitian_deviation:.3e}, tol {tol:.3e}",
-            report=prepared.report,
-        )
-    return prepared
+    return _prepare(sys, tol).classified()
 
 
 def swap(sys: BiGFrameSystem) -> BiGFrameSystem:
     """Exchange the two families; verdicts and bounds are invariant."""
     return BiGFrameSystem(sys.gam, sys.lam)
-
-
-def _dual(prepared: _PreparedPair) -> DualPair:
-    """Both dual families from one solve against ``[Lambda^H | Gamma^H]``."""
-    sys = prepared.sys
-    stacked = np.vstack((stacked_analysis_matrix(sys.lam), stacked_analysis_matrix(sys.gam)))
-    solved = prepared.factor.solve(stacked.conj().T)
-    lam, gam = np.split(solved.conj().T, 2)
-    return DualPair(
-        lam=GFrameSystem._of_stacked(sys.dim, lam, sys.block_dims),
-        gam=GFrameSystem._of_stacked(sys.dim, gam, sys.block_dims),
-    )
 
 
 def canonical_pair(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> DualPair:
@@ -157,7 +204,7 @@ def canonical_pair(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> DualPair:
     Raises ``NotBiGFrame`` when the pair operator is not Hermitian positive
     definite within ``tol``.
     """
-    return _dual(_require_frame(sys, tol))
+    return _prepare(sys, tol).dual()
 
 
 def reconstruct(sys: BiGFrameSystem, f, variant: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -169,15 +216,7 @@ def reconstruct(sys: BiGFrameSystem, f, variant: int, tol: float = DEFAULT_TOL) 
     applied through one Cholesky factor of the Hermitian part of S: to
     ``f`` in variant 1, and to all of ``Gamma^H`` in one solve in variant 2.
     """
-    if variant not in (1, 2):
-        raise ValueError(f"variant must be 1 or 2, got {variant!r}")
-    v = _check_vector(sys, f)
-    prepared = _require_frame(sys, tol)
-    a_lam, a_gam = stacked_analysis_matrix(sys.lam), stacked_analysis_matrix(sys.gam)
-    if variant == 1:
-        return a_gam.conj().T @ (a_lam @ prepared.factor.solve(v))
-    # (Gamma_j (S*)^-1)* = (S*)^-1-solve applied to Gamma_j*.
-    return prepared.factor.solve(a_gam.conj().T) @ (a_lam @ v)
+    return _prepare(sys, tol).reconstruct(f, variant)
 
 
 def solve_synthesis_coefficients(
@@ -195,22 +234,8 @@ def solve_synthesis_coefficients(
     space, in the order the singular value decomposition yields it, so the
     full solution set is ``particular + span(nullbasis)``.
     """
-    if side not in ("gamma", "lambda"):
-        raise ValueError(f"side must be 'gamma' or 'lambda', got {side!r}")
-    v = _check_vector(sys, f)
-    y = _require_frame(sys, tol).factor.solve(v)
-    if side == "gamma":
-        analysis_family, synthesis_family = sys.lam, sys.gam
-    else:
-        analysis_family, synthesis_family = sys.gam, sys.lam
-    dims = sys.block_dims
-    particular = CoefficientSequence._of_flat(stacked_analysis_matrix(analysis_family) @ y, dims)
-
-    stacked = stacked_analysis_matrix(synthesis_family).conj().T
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    nullbasis = [CoefficientSequence._of_flat(row, dims) for row in np.conj(vh[rank:])]
-    return particular, nullbasis
+    prepared = _prepare(sys, tol)
+    return prepared.particular(f, side), prepared.null_basis(side)
 
 
 def coefficient_identity_terms(
@@ -229,22 +254,7 @@ def coefficient_identity_terms(
     them. Returns ``(lhs, rhs)`` as (float, complex); raises
     ``ConstraintViolated`` when ``g`` does not synthesize ``f``.
     """
-    if side not in ("gamma", "lambda"):
-        raise ValueError(f"side must be 'gamma' or 'lambda', got {side!r}")
-    v = _check_vector(sys, f)
-    synthesized = g_synthesis(sys.gam if side == "gamma" else sys.lam, g)
-    residual = float(np.linalg.norm(synthesized - v))
-    if residual > tol * (1.0 + float(np.linalg.norm(v))):
-        raise ConstraintViolated(
-            f"coefficients do not synthesize the vector: residual {residual:.3e}"
-        )
-
-    y = _require_frame(sys, tol).factor.solve(v)
-    lam_y = stacked_analysis_matrix(sys.lam) @ y
-    gam_y = stacked_analysis_matrix(sys.gam) @ y
-    c = g.to_flat()
-    first = inner(c, c - gam_y) if side == "gamma" else inner(c - lam_y, c)
-    return g.norm_sq(), first + inner(lam_y, gam_y)
+    return _prepare(sys, tol).identity_terms(f, g, side)
 
 
 def lift_to_biframe(sys: BiGFrameSystem) -> tuple:

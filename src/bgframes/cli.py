@@ -22,16 +22,8 @@ import time
 
 import numpy as np
 
-from .bigframes import (
-    BiGFrameSystem,
-    canonical_pair,
-    classify_bi_g_frame,
-    coefficient_identity_terms,
-    lift_to_biframe,
-    reconstruct,
-    solve_synthesis_coefficients,
-)
-from .errors import FrameToolError, NotBiGFrame, SchemaError
+from .bigframes import BiGFrameSystem, _prepare, lift_to_biframe
+from .errors import ConstraintViolated, FrameToolError, NotBiGFrame, SchemaError
 from .fileio import (
     FrameFile,
     dumps_json,
@@ -129,14 +121,14 @@ def _base_doc(command: str, args, tol: float) -> dict:
     }
 
 
-def _open_pair(args, command: str):
+def _open_pair(args):
     """Tolerance, input file, pair and the report's opening fields. The input
     is hashed here, before the command can write anything (``--out`` may name
     the input)."""
     tol = _tol(args)
     frame_file = load_frame_file(args.file)
     system = _pair(frame_file, args.pair, args.file)
-    doc = _base_doc(command, args, tol)
+    doc = _base_doc(args.subcommand, args, tol)
     doc["pair"] = list(args.pair)
     return tol, frame_file, system, doc
 
@@ -166,9 +158,12 @@ def _negative(doc, report) -> int:
 # Subcommands
 
 
-def _cmd_check(args, bounds_only: bool = False) -> int:
-    tol, _, system, doc = _open_pair(args, "bounds" if bounds_only else "check")
-    report = classify_bi_g_frame(system, tol)
+def _cmd_check(args) -> int:
+    """``check``, or with ``bounds`` only the frame verdict and bounds."""
+    bounds_only = args.subcommand == "bounds"
+    tol, _, system, doc = _open_pair(args)
+    prepared = _prepare(system, tol)
+    report = prepared.report if bounds_only else prepared.classified()
     if bounds_only:
         doc["is_frame"] = report.is_frame
     else:
@@ -180,10 +175,6 @@ def _cmd_check(args, bounds_only: bool = False) -> int:
             doc["inverse_norm"] = report.inverse_norm
     _emit(doc)
     return 0 if report.is_frame else 1
-
-
-def _cmd_bounds(args) -> int:
-    return _cmd_check(args, bounds_only=True)
 
 
 def _cmd_gcheck(args) -> int:
@@ -203,12 +194,13 @@ def _cmd_gcheck(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    tol, frame_file, system, doc = _open_pair(args, "dual")
+    tol, frame_file, system, doc = _open_pair(args)
     lname, gname = args.pair
-    report = classify_bi_g_frame(system, tol)
+    prepared = _prepare(system, tol)
+    report = prepared.report
     if not report.is_frame:
         return _negative(doc, report)
-    dual = canonical_pair(system, tol)
+    dual = prepared.dual()
     out_systems = dict(frame_file.systems)
     out_systems[f"{lname}~"] = dual.lam
     out_systems[f"{gname}~"] = dual.gam
@@ -226,16 +218,16 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    tol, frame_file, system, doc = _open_pair(args, "reconstruct")
+    tol, frame_file, system, doc = _open_pair(args)
     vectors = _lookup(frame_file.vectors, "vectors entry", args.vector, args.file)
-    report = classify_bi_g_frame(system, tol)
+    prepared = _prepare(system, tol)
     doc["vector"] = args.vector
     doc["variant"] = args.variant
-    if not report.is_frame:
-        return _negative(doc, report)
+    if not prepared.report.is_frame:
+        return _negative(doc, prepared.report)
     residuals = []
     for vec in vectors:
-        rebuilt = reconstruct(system, vec, args.variant, tol)
+        rebuilt = prepared.reconstruct(vec, args.variant)
         scale = float(np.linalg.norm(vec))
         residual = float(np.linalg.norm(rebuilt - vec))
         residuals.append(residual / scale if scale > 0 else residual)
@@ -248,9 +240,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    tol, frame_file, system, doc = _open_pair(args, "lift")
+    tol, frame_file, system, doc = _open_pair(args)
     lname, gname = args.pair
-    pair_report = classify_bi_g_frame(system, tol)
+    pair_report = _prepare(system, tol).report
     u, v = lift_to_biframe(system)
     lift_report = classify_biframe(u, v, tol)
     out_vectors = dict(frame_file.vectors)
@@ -313,48 +305,44 @@ def _perturbed(particular, nullbasis, rng) -> CoefficientSequence:
 
 
 def _cmd_identity(args) -> int:
-    tol, frame_file, system, doc = _open_pair(args, "identity")
+    tol, frame_file, system, doc = _open_pair(args)
     vectors = _lookup(frame_file.vectors, "vectors entry", args.vector, args.file)
+    prepared = _prepare(system, tol)
     doc["vector"] = args.vector
     doc["perturbations"] = args.perturb
-    try:
-        sides = ("gamma", "lambda") if args.side == "both" else (args.side,)
-        results = []
-        all_ok = True
-        for index, vec in enumerate(vectors):
-            for side in sides:
-                particular, nullbasis = solve_synthesis_coefficients(system, vec, side, tol)
-                lhs, rhs = coefficient_identity_terms(system, vec, particular, side, tol)
-                ok = abs(lhs - rhs) <= tol * (1.0 + abs(lhs))
-                rng = np.random.default_rng(_IDENTITY_SEED + index)
-                perturbed_ok = True
-                for _ in range(args.perturb):
-                    candidate = _perturbed(particular, nullbasis, rng)
-                    p_lhs, p_rhs = coefficient_identity_terms(
-                        system, vec, candidate, side, tol
-                    )
-                    perturbed_ok = perturbed_ok and abs(p_lhs - p_rhs) <= tol * (
-                        1.0 + abs(p_lhs)
-                    )
-                all_ok = all_ok and ok and perturbed_ok
-                results.append(
-                    {
-                        "vector_index": index,
-                        "side": side,
-                        "lhs": lhs,
-                        "rhs_re": rhs.real,
-                        "rhs_im": rhs.imag,
-                        "kernel_dim": len(nullbasis),
-                        "ok": ok,
-                        "perturbations_ok": perturbed_ok,
-                    }
-                )
-    except NotBiGFrame as exc:
-        return _negative(doc, exc.report)
+    if not prepared.report.is_frame:
+        return _negative(doc, prepared.report)
+    sides = ("gamma", "lambda") if args.side == "both" else (args.side,)
+    nullbases = {side: prepared.null_basis(side) for side in sides}
+    results = []
+    for index, vec in enumerate(vectors):
+        for side in sides:
+            particular, nullbasis = prepared.particular(vec, side), nullbases[side]
+            rng = np.random.default_rng(_IDENTITY_SEED + index)
+            draws = [_perturbed(particular, nullbasis, rng) for _ in range(args.perturb)]
+            try:
+                terms = [prepared.identity_terms(vec, g, side) for g in (particular, *draws)]
+            except ConstraintViolated as exc:  # own coefficients: numerical, not input
+                print(f"numerical failure: {exc}", file=sys.stderr)
+                return 3
+            holds = [abs(lhs - rhs) <= tol * (1.0 + abs(lhs)) for lhs, rhs in terms]
+            lhs, rhs = terms[0]
+            results.append(
+                {
+                    "vector_index": index,
+                    "side": side,
+                    "lhs": lhs,
+                    "rhs_re": rhs.real,
+                    "rhs_im": rhs.imag,
+                    "kernel_dim": len(nullbasis),
+                    "ok": holds[0],
+                    "perturbations_ok": all(holds[1:]),
+                }
+            )
     doc["results"] = results
-    doc["ok"] = all_ok
+    doc["ok"] = all(r["ok"] and r["perturbations_ok"] for r in results)
     _emit(doc)
-    return 0 if all_ok else 1
+    return 0 if doc["ok"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("bounds", parents=[pair], help="bounds-only pair check")
-    p.set_defaults(func=_cmd_bounds)
+    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("gcheck", parents=[common], help="classify a single system")
     p.add_argument("file")

@@ -261,11 +261,15 @@ def frame_file_doc(data: FrameFile) -> dict:
     return doc
 
 
-def save_frame_file(path, data: FrameFile) -> None:
-    text = dumps_json(frame_file_doc(data))  # before open() truncates the target
+def _save(path, doc) -> None:
+    text = dumps_json(doc)  # before open() truncates the target
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
         handle.write("\n")
+
+
+def save_frame_file(path, data: FrameFile) -> None:
+    _save(path, frame_file_doc(data))
 
 
 def load_matrix(path) -> np.ndarray:
@@ -282,10 +286,7 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(path, matrix) -> None:
-    text = dumps_json(_block_doc(np.asarray(matrix, dtype=np.complex128)))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.write("\n")
+    _save(path, _block_doc(np.asarray(matrix, dtype=np.complex128)))
 
 
 def sha256_of_file(path) -> str:

@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,26 @@ def cholesky_breakdown_pair() -> BiGFrameSystem:
     m = (q * np.r_[eps, np.ones(5)]) @ q.conj().T
     lam = 0.5 * (m + m.conj().T)
     return BiGFrameSystem(GFrameSystem(6, (lam,)), GFrameSystem(6, (np.eye(6),)))
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch) -> Counter:
+    """Counts of Cholesky factorizations, Hermitian spectra and singular
+    value decompositions, by name; ``clear()`` resets them."""
+    calls: Counter = Counter()
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    for name in ("cholesky", "eigvalsh", "svd"):
+        counting(name)
+    return calls
 
 
 def package_env() -> dict:

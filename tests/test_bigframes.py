@@ -604,25 +604,6 @@ def test_null_basis_matches_per_row_from_flat(dim, block_dims):
             np.testing.assert_array_equal(actual.to_flat(), ref.to_flat())
 
 
-@pytest.fixture
-def lapack_calls(monkeypatch):
-    """Counts of Cholesky factorizations and Hermitian spectra, by name."""
-    calls = {"cholesky": 0, "eigvalsh": 0}
-
-    def counting(owner, name):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counting(np.linalg, "cholesky")
-    counting(np.linalg, "eigvalsh")
-    return calls
-
-
 def test_one_factorization_per_pair_call(lapack_calls):
     pair = gen_bi_g_frame(
         GenSpec(16, (4,) * 8, 3, "prescribed_operator"), random_hermitian_pd(16, 3)
@@ -639,14 +620,14 @@ def test_one_factorization_per_pair_call(lapack_calls):
         lambda: coefficient_identity_terms(pair, f, particular, "gamma"),
     ]
     for call in calls:
-        lapack_calls.update(cholesky=0, eigvalsh=0)
+        lapack_calls.clear()
         call()
-        assert lapack_calls == {"cholesky": 1, "eigvalsh": 1}
+        assert (lapack_calls["cholesky"], lapack_calls["eigvalsh"]) == (1, 1)
 
 
 def test_no_factorization_for_non_frames(lapack_calls):
     rank_deficient = gen_negative(GenSpec(4, (2, 2, 2), 5, "rank_deficient"))
-    lapack_calls["cholesky"] = 0
+    lapack_calls.clear()
     assert not classify_bi_g_frame(rank_deficient).is_frame
     assert lapack_calls["cholesky"] == 0
     for pair in (NONHERM, rank_deficient):
@@ -655,6 +636,39 @@ def test_no_factorization_for_non_frames(lapack_calls):
         with pytest.raises(NotBiGFrame):
             reconstruct(pair, np.ones(pair.dim), 2)
     assert lapack_calls["cholesky"] == 0
+
+
+SHIFT_PAIR = BiGFrameSystem(
+    GFrameSystem(2, (np.array([[0.0, 1.0], [0.0, 0.0]]),)), GFrameSystem(2, (np.eye(2),))
+)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda pair: reconstruct(pair, np.ones(2), 3), ValueError),
+        (lambda pair: solve_synthesis_coefficients(pair, np.ones(2), "x"), ValueError),
+        (lambda pair: reconstruct(pair, np.ones(3), 1), ShapeMismatch),
+        (lambda pair: solve_synthesis_coefficients(pair, np.ones(3), "gamma"), ShapeMismatch),
+        (
+            lambda pair: coefficient_identity_terms(
+                pair, np.ones(3), CoefficientSequence(([5, 7],)), "gamma"
+            ),
+            ShapeMismatch,
+        ),
+        (
+            lambda pair: coefficient_identity_terms(
+                pair, np.ones(2), CoefficientSequence(([5, 7],)), "gamma"
+            ),
+            ConstraintViolated,
+        ),
+    ],
+)
+def test_argument_errors_come_before_the_frame_gate(call, error):
+    assert not classify_bi_g_frame(SHIFT_PAIR).is_frame
+    with pytest.raises(error) as exc:
+        call(SHIFT_PAIR)
+    assert not isinstance(exc.value, NotBiGFrame)
 
 
 def test_cholesky_breakdown_past_the_gate_raises_linalg_error():

@@ -11,10 +11,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bgframes import GenSpec, GFrameSystem, BiGFrameSystem, gen_bi_g_frame, random_hermitian_pd
+from bgframes import (
+    BiGFrameSystem,
+    GenSpec,
+    GFrameSystem,
+    gen_bi_g_frame,
+    gen_negative,
+    random_hermitian_pd,
+)
 from bgframes.cli import main
 from bgframes.fileio import FrameFile, dumps_json, frame_file_doc, load_frame_file, save_matrix
-from conftest import cholesky_breakdown_pair, package_env, write_pair_file
+from conftest import cholesky_breakdown_pair, package_env, random_complex_vector, write_pair_file
 
 
 @pytest.fixture
@@ -303,6 +310,105 @@ def test_identity_rejects_negative_perturb(capsys, instance_a_file):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "nonnegative" in captured.err
+
+
+def test_identity_rounding_is_a_numerical_failure(capsys, tmp_path):
+    """The command's own perturbed coefficients miss the synthesis check at
+    ``--tol 1e-15``: their residual is rounding of the order eps ||Lambda||,
+    here about 5e-13. That is a numerical failure, not an input error."""
+    rng = np.random.default_rng(0)
+    blocks = tuple(1e3 * (rng.standard_normal((m, 4)) + 1j * rng.standard_normal((m, 4)))
+                   for m in (2, 3, 2))
+    lam = GFrameSystem(4, blocks)
+    path = tmp_path / "scaled.json"
+    write_pair_file(path, BiGFrameSystem(lam, lam))
+    argv = ["identity", str(path), "--pair", "L,G", "--vector", "e1", "--perturb", "2"]
+    code, out, err = run_cli(capsys, *argv, "--tol", "1e-15")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: coefficients do not synthesize the vector" in err
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# One prepared pair per command
+
+
+@pytest.fixture
+def prescribed_file(tmp_path):
+    pair = gen_bi_g_frame(
+        GenSpec(8, (2, 3, 3, 1), 5, "prescribed_operator"), random_hermitian_pd(8, 2)
+    )
+    rng = np.random.default_rng(0)
+    e1 = np.eye(8, dtype=np.complex128)[0]
+    two = [random_complex_vector(rng, 8) for _ in range(2)]
+    path = tmp_path / "prescribed.json"
+    write_pair_file(path, pair, vectors={"e1": [e1], "two": two})
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["bounds"],
+        ["dual", "--out", "OUT"],
+        ["reconstruct", "--vector", "two", "--variant", "1"],
+        ["reconstruct", "--vector", "two", "--variant", "2"],
+        ["identity", "--vector", "two", "--perturb", "3"],
+    ],
+)
+def test_one_preparation_per_command(capsys, tmp_path, lapack_calls, prescribed_file, argv):
+    argv = [str(tmp_path / "out.json") if a == "OUT" else a for a in argv]
+    lapack_calls.clear()
+    code, _, _ = run_cli(capsys, argv[0], prescribed_file, "--pair", "L,G", *argv[1:])
+    assert code == 0
+    assert (lapack_calls["cholesky"], lapack_calls["eigvalsh"]) == (1, 1)
+
+
+@pytest.mark.parametrize("side, svd_calls", [("both", 2), ("gamma", 1), ("lambda", 1)])
+@pytest.mark.parametrize("vector, perturb", [("e1", "0"), ("two", "5")])
+def test_identity_computes_each_null_basis_once(
+    capsys, lapack_calls, prescribed_file, side, svd_calls, vector, perturb
+):
+    lapack_calls.clear()
+    code, _, _ = run_cli(
+        capsys, "identity", prescribed_file, "--pair", "L,G",
+        "--vector", vector, "--perturb", perturb, "--side", side,
+    )
+    assert code == 0
+    assert lapack_calls == {"cholesky": 1, "eigvalsh": 1, "svd": svd_calls}
+
+
+def test_lift_prepares_the_pair_once(capsys, tmp_path, lapack_calls, prescribed_file):
+    lapack_calls.clear()
+    out = str(tmp_path / "lifted.json")
+    code, _, _ = run_cli(capsys, "lift", prescribed_file, "--pair", "L,G", "--out", out)
+    assert code == 0
+    # The second spectrum classifies the lifted vector biframe.
+    assert (lapack_calls["cholesky"], lapack_calls["eigvalsh"]) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["bounds"],
+        ["dual", "--out", "OUT"],
+        ["reconstruct", "--vector", "e1", "--variant", "2"],
+        ["identity", "--vector", "e1", "--perturb", "2"],
+        ["lift", "--out", "OUT"],
+    ],
+)
+def test_non_frames_make_no_factor(capsys, tmp_path, lapack_calls, nonherm_file, argv):
+    rank_deficient = tmp_path / "rank_deficient.json"
+    write_pair_file(rank_deficient, gen_negative(GenSpec(4, (2, 2, 2), 5, "rank_deficient")))
+    argv = [str(tmp_path / "out.json") if a == "OUT" else a for a in argv]
+    for path in (nonherm_file, str(rank_deficient)):
+        lapack_calls.clear()
+        code, _, _ = run_cli(capsys, argv[0], path, "--pair", "L,G", *argv[1:])
+        assert code == 1
+        assert lapack_calls["cholesky"] == 0
 
 
 # ---------------------------------------------------------------------------
