@@ -4,7 +4,6 @@ reconstruction, and seeded generators."""
 
 from .bigframes import (
     BiGFrameSystem,
-    DualPair,
     bi_g_frame_operator,
     canonical_pair,
     classify_bi_g_frame,

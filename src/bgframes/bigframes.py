@@ -66,15 +66,6 @@ class BiGFrameSystem:
         return len(self.lam)
 
 
-@dataclass(frozen=True, eq=False)
-class DualPair:
-    """The canonical dual pair: ``lam`` holds Lambda_j S^-1, ``gam`` holds
-    Gamma_j (S*)^-1, with S the pair operator of the source system."""
-
-    lam: GFrameSystem
-    gam: GFrameSystem
-
-
 def bi_g_frame_operator(sys: BiGFrameSystem) -> np.ndarray:
     """``S = sum_j Gamma_j* Lambda_j``; not Hermitian for arbitrary pairs."""
     return stacked_analysis_matrix(sys.gam).conj().T @ stacked_analysis_matrix(sys.lam)
@@ -108,31 +99,33 @@ class _PreparedPair:
         return (sys.lam, sys.gam) if side == "gamma" else (sys.gam, sys.lam)
 
     def classified(self) -> ClassifyReport:
-        """The report, with ``inverse_norm`` from an explicit solve on frames."""
+        """The report, with ``inverse_norm = ||H^-1||`` from an explicit solve on frames."""
         if self.factor is None:
             return self.report
         inverse = self.factor.solve(np.eye(self.sys.dim, dtype=np.complex128))
         return replace(self.report, inverse_norm=operator_norm(inverse))
 
-    def dual(self) -> DualPair:
+    def dual(self) -> BiGFrameSystem:
         """Both dual families from one solve against ``[Lambda^H | Gamma^H]``."""
         sys = self.sys
         stacked = np.vstack((stacked_analysis_matrix(sys.lam), stacked_analysis_matrix(sys.gam)))
         lam, gam = np.split(self._solve(stacked.conj().T).conj().T, 2)
-        return DualPair(
-            lam=GFrameSystem._of_stacked(sys.dim, lam, sys.block_dims),
-            gam=GFrameSystem._of_stacked(sys.dim, gam, sys.block_dims),
+        return BiGFrameSystem(
+            GFrameSystem._of_stacked(sys.dim, lam, sys.block_dims),
+            GFrameSystem._of_stacked(sys.dim, gam, sys.block_dims),
         )
 
-    def reconstruct(self, f, variant: int) -> np.ndarray:
+    def reconstruct(self, vectors, variant: int) -> list:
+        """Each of ``vectors`` rebuilt; variant 2 solves against ``Gamma^H`` once."""
         if variant not in (1, 2):
             raise ValueError(f"variant must be 1 or 2, got {variant!r}")
-        v = _check_vector(self.sys, f)
+        vs = [_check_vector(self.sys, f) for f in vectors]
         a_lam, a_gam = stacked_analysis_matrix(self.sys.lam), stacked_analysis_matrix(self.sys.gam)
         if variant == 1:
-            return a_gam.conj().T @ (a_lam @ self._solve(v))
+            return [a_gam.conj().T @ (a_lam @ self._solve(v)) for v in vs]
         # (Gamma_j (S*)^-1)* = (S*)^-1-solve applied to Gamma_j*.
-        return self._solve(a_gam.conj().T) @ (a_lam @ v)
+        dual_synthesis = self._solve(a_gam.conj().T)
+        return [dual_synthesis @ (a_lam @ v) for v in vs]
 
     def particular(self, f, side: str) -> CoefficientSequence:
         """The dual-analysis coefficients of ``f`` on ``side``."""
@@ -183,9 +176,10 @@ def classify_bi_g_frame(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> Classi
     A Hermitian deviation above ``tol`` rules out even the Bessel verdict,
     since a two-sided real inequality forces real pairing sums. Otherwise
     the verdicts and bounds come from the spectrum edges, and
-    ``inverse_norm`` reports the operator norm of S^-1 (computed through an
-    explicit solve, so the classical ``<= 1/C`` estimate stays a genuine
-    cross-check). ``is_riesz`` is ``None``: pair reports do not compute it.
+    ``inverse_norm`` reports the operator norm of H^-1, H the Hermitian part
+    of S (computed through an explicit solve, so the classical ``<= 1/C``
+    estimate stays a genuine cross-check). ``is_riesz`` is ``None``: pair
+    reports do not compute it.
     """
     return _prepare(sys, tol).classified()
 
@@ -195,13 +189,14 @@ def swap(sys: BiGFrameSystem) -> BiGFrameSystem:
     return BiGFrameSystem(sys.gam, sys.lam)
 
 
-def canonical_pair(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> DualPair:
-    """Blocks ``Lambda_j S^-1`` and ``Gamma_j (S*)^-1``.
+def canonical_pair(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> BiGFrameSystem:
+    """The pair of blocks ``Lambda_j S^-1`` and ``Gamma_j (S*)^-1``.
 
     Both reconstruction identities hold against the source pair. S and S*
     share their Hermitian part H, so every block of both families comes
-    from one Cholesky factor of H and one multi-right-hand-side solve.
-    Raises ``NotBiGFrame`` when the pair operator is not Hermitian positive
+    from one Cholesky factor of H and one multi-right-hand-side solve, and
+    the dual pair's own operator is ``H^-1 S H^-1``: ``S^-1`` for a Hermitian
+    S. Raises ``NotBiGFrame`` when the pair operator is not Hermitian positive
     definite within ``tol``.
     """
     return _prepare(sys, tol).dual()
@@ -216,7 +211,7 @@ def reconstruct(sys: BiGFrameSystem, f, variant: int, tol: float = DEFAULT_TOL) 
     applied through one Cholesky factor of the Hermitian part of S: to
     ``f`` in variant 1, and to all of ``Gamma^H`` in one solve in variant 2.
     """
-    return _prepare(sys, tol).reconstruct(f, variant)
+    return _prepare(sys, tol).reconstruct([f], variant)[0]
 
 
 def solve_synthesis_coefficients(

@@ -19,19 +19,13 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from .bigframes import BiGFrameSystem, _prepare, lift_to_biframe
-from .errors import ConstraintViolated, FrameToolError, NotBiGFrame, SchemaError
-from .fileio import (
-    FrameFile,
-    dumps_json,
-    load_frame_file,
-    load_matrix,
-    save_frame_file,
-    sha256_of_file,
-)
+from .errors import ConstraintViolated, FrameToolError, SchemaError
+from .fileio import FrameFile, dumps_json, load_frame_file, load_matrix, save_frame_file
 from .frames import classify_biframe
 from .generators import (
     KIND_NON_HERMITIAN,
@@ -102,35 +96,32 @@ def _lookup(table: dict, what: str, name: str, path: str):
         raise SchemaError(f"{path}: {what} {name!r} not found (available: {sorted(table)})")
 
 
-def _pair(frame_file: FrameFile, names, path: str) -> BiGFrameSystem:
-    lam, gam = (_lookup(frame_file.systems, "system", name, path) for name in names)
-    return BiGFrameSystem(lam, gam)
-
-
 def _emit(doc) -> None:
     sys.stdout.write(dumps_json(doc))
     sys.stdout.write("\n")
 
 
-def _base_doc(command: str, args, tol: float) -> dict:
-    return {
-        "command": command,
-        "input": args.file,
-        "input_sha256": sha256_of_file(args.file),
-        "tolerance": tol,
-    }
-
-
-def _open_pair(args):
-    """Tolerance, input file, pair and the report's opening fields. The input
-    is hashed here, before the command can write anything (``--out`` may name
-    the input)."""
+def _open(args):
+    """Tolerance, one read of the input, every lookup and the report's opening
+    fields, then the pair's preparation: a missing name exits 2 even where the
+    factorization would break down. ``input_sha256`` hashes the bytes parsed,
+    before anything is written (``--out`` may name the input). Returns
+    ``(frame_file, prepared pair or gcheck's system, --vector's entry, doc)``."""
     tol = _tol(args)
     frame_file = load_frame_file(args.file)
-    system = _pair(frame_file, args.pair, args.file)
-    doc = _base_doc(args.subcommand, args, tol)
+    doc = {"command": args.subcommand, "input": args.file,
+           "input_sha256": frame_file.sha256, "tolerance": tol}
+    if args.subcommand == "gcheck":
+        doc["system"] = args.system
+        return frame_file, _lookup(frame_file.systems, "system", args.system, args.file), None, doc
+    system = BiGFrameSystem(*(_lookup(frame_file.systems, "system", name, args.file)
+                              for name in args.pair))
     doc["pair"] = list(args.pair)
-    return tol, frame_file, system, doc
+    vectors = None
+    if "vector" in args:
+        vectors = _lookup(frame_file.vectors, "vectors entry", args.vector, args.file)
+        doc["vector"] = args.vector
+    return frame_file, _prepare(system, tol), vectors, doc
 
 
 def _verdict_doc(report) -> dict:
@@ -146,12 +137,30 @@ def _bounds_doc(report) -> dict:
     return {"lower": report.bounds.lower, "upper": report.bounds.upper}
 
 
-def _negative(doc, report) -> int:
-    """Report a pair that is not a bi-g-frame: its verdicts, exit 1."""
+def _report(doc, report):
+    """Write the verdicts, the Hermitian deviation and, on frames, the bounds."""
     doc["verdicts"] = _verdict_doc(report)
     doc["hermitian_deviation"] = report.hermitian_deviation
+    if report.is_frame:
+        doc["bounds"] = _bounds_doc(report)
+    return report
+
+
+def _negative(doc, report) -> int:
+    """Report a pair that is not a bi-g-frame: its verdicts, exit 1."""
+    _report(doc, report)
     _emit(doc)
     return 1
+
+
+def _write_beside(args, frame_file: FrameFile, doc, field: str, suffix: str, entries) -> None:
+    """Save the input's systems and vectors to ``--out``, with ``entries`` added
+    to ``field`` under the pair's names plus ``suffix``; record what was written."""
+    names = [f"{name}{suffix}" for name in args.pair]
+    added = {**getattr(frame_file, field), **dict(zip(names, entries))}
+    save_frame_file(args.out, replace(frame_file, **{field: added}))
+    doc["written"] = names
+    doc["out"] = args.out
 
 
 # ---------------------------------------------------------------------------
@@ -160,78 +169,50 @@ def _negative(doc, report) -> int:
 
 def _cmd_check(args) -> int:
     """``check``, or with ``bounds`` only the frame verdict and bounds."""
-    bounds_only = args.subcommand == "bounds"
-    tol, _, system, doc = _open_pair(args)
-    prepared = _prepare(system, tol)
-    report = prepared.report if bounds_only else prepared.classified()
-    if bounds_only:
+    _, prepared, _, doc = _open(args)
+    if args.subcommand == "bounds":
+        report = prepared.report
         doc["is_frame"] = report.is_frame
+        if report.is_frame:
+            doc["bounds"] = _bounds_doc(report)
     else:
-        doc["verdicts"] = _verdict_doc(report)
-        doc["hermitian_deviation"] = report.hermitian_deviation
-    if report.is_frame:
-        doc["bounds"] = _bounds_doc(report)
-        if not bounds_only:
+        report = _report(doc, prepared.classified())
+        if report.is_frame:
             doc["inverse_norm"] = report.inverse_norm
     _emit(doc)
     return 0 if report.is_frame else 1
 
 
 def _cmd_gcheck(args) -> int:
-    tol = _tol(args)
-    frame_file = load_frame_file(args.file)
-    system = _lookup(frame_file.systems, "system", args.system, args.file)
-    report = classify_g_frame(system, tol)
-    doc = _base_doc("gcheck", args, tol)
-    doc["system"] = args.system
-    doc["verdicts"] = _verdict_doc(report)
+    _, system, _, doc = _open(args)
+    report = _report(doc, classify_g_frame(system, doc["tolerance"]))
     doc["verdicts"]["is_riesz"] = report.is_riesz
-    doc["hermitian_deviation"] = report.hermitian_deviation
-    if report.is_frame:
-        doc["bounds"] = _bounds_doc(report)
     _emit(doc)
     return 0 if report.is_frame else 1
 
 
 def _cmd_dual(args) -> int:
-    tol, frame_file, system, doc = _open_pair(args)
-    lname, gname = args.pair
-    prepared = _prepare(system, tol)
-    report = prepared.report
-    if not report.is_frame:
-        return _negative(doc, report)
+    frame_file, prepared, _, doc = _open(args)
+    if not prepared.report.is_frame:
+        return _negative(doc, prepared.report)
     dual = prepared.dual()
-    out_systems = dict(frame_file.systems)
-    out_systems[f"{lname}~"] = dual.lam
-    out_systems[f"{gname}~"] = dual.gam
-    save_frame_file(
-        args.out,
-        FrameFile(dim=frame_file.dim, systems=out_systems, vectors=frame_file.vectors),
-    )
-    doc["verdicts"] = _verdict_doc(report)
-    doc["hermitian_deviation"] = report.hermitian_deviation
-    doc["bounds"] = _bounds_doc(report)
-    doc["written"] = [f"{lname}~", f"{gname}~"]
-    doc["out"] = args.out
+    _report(doc, prepared.report)
+    _write_beside(args, frame_file, doc, "systems", "~", (dual.lam, dual.gam))
     _emit(doc)
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    tol, frame_file, system, doc = _open_pair(args)
-    vectors = _lookup(frame_file.vectors, "vectors entry", args.vector, args.file)
-    prepared = _prepare(system, tol)
-    doc["vector"] = args.vector
+    _, prepared, vectors, doc = _open(args)
     doc["variant"] = args.variant
     if not prepared.report.is_frame:
         return _negative(doc, prepared.report)
     residuals = []
-    for vec in vectors:
-        rebuilt = prepared.reconstruct(vec, args.variant)
+    for vec, rebuilt in zip(vectors, prepared.reconstruct(vectors, args.variant)):
         scale = float(np.linalg.norm(vec))
         residual = float(np.linalg.norm(rebuilt - vec))
         residuals.append(residual / scale if scale > 0 else residual)
-    ok = all(r <= tol for r in residuals)
+    ok = all(r <= doc["tolerance"] for r in residuals)
     doc["residuals"] = residuals
     doc["max_residual"] = max(residuals)
     doc["ok"] = ok
@@ -240,25 +221,15 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    tol, frame_file, system, doc = _open_pair(args)
-    lname, gname = args.pair
-    pair_report = _prepare(system, tol).report
-    u, v = lift_to_biframe(system)
-    lift_report = classify_biframe(u, v, tol)
-    out_vectors = dict(frame_file.vectors)
-    out_vectors[f"{lname}_lifted"] = list(u.vectors)
-    out_vectors[f"{gname}_lifted"] = list(v.vectors)
-    save_frame_file(
-        args.out,
-        FrameFile(dim=frame_file.dim, systems=frame_file.systems, vectors=out_vectors),
-    )
-    doc["pair_verdicts"] = _verdict_doc(pair_report)
+    frame_file, prepared, _, doc = _open(args)
+    u, v = lift_to_biframe(prepared.sys)
+    lift_report = classify_biframe(u, v, doc["tolerance"])
+    doc["pair_verdicts"] = _verdict_doc(prepared.report)
     doc["lift_verdicts"] = _verdict_doc(lift_report)
     doc["verdicts_agree"] = doc["pair_verdicts"] == doc["lift_verdicts"]
     if lift_report.is_frame:
         doc["bounds"] = _bounds_doc(lift_report)
-    doc["written"] = [f"{lname}_lifted", f"{gname}_lifted"]
-    doc["out"] = args.out
+    _write_beside(args, frame_file, doc, "vectors", "_lifted", (list(u.vectors), list(v.vectors)))
     _emit(doc)
     return 0 if lift_report.is_frame else 1
 
@@ -305,10 +276,8 @@ def _perturbed(particular, nullbasis, rng) -> CoefficientSequence:
 
 
 def _cmd_identity(args) -> int:
-    tol, frame_file, system, doc = _open_pair(args)
-    vectors = _lookup(frame_file.vectors, "vectors entry", args.vector, args.file)
-    prepared = _prepare(system, tol)
-    doc["vector"] = args.vector
+    _, prepared, vectors, doc = _open(args)
+    tol = doc["tolerance"]
     doc["perturbations"] = args.perturb
     if not prepared.report.is_frame:
         return _negative(doc, prepared.report)
@@ -420,9 +389,6 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         return args.func(args)
-    except NotBiGFrame as exc:
-        print(f"negative: {exc}", file=sys.stderr)
-        return 1
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

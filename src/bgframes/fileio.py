@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,14 +103,18 @@ def _fail(path: str, message: str):
     raise SchemaError(f"{path}: {message}")
 
 
-def _load_json(path):
-    """Read and decode one JSON file, rejecting duplicate keys (names must
-    stay unique); an unreadable file is a schema error."""
+def _load_json(path) -> tuple:
+    """One read of a JSON file: its document, rejecting duplicate keys (names
+    must stay unique), and the SHA-256 of its bytes, decoded as a UTF-8 text-mode
+    ``open`` would (universal newlines); read and decode errors are schema errors."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: cannot decode file as UTF-8: {exc}") from exc
 
     def hook(pairs):
         result = {}
@@ -121,7 +125,7 @@ def _load_json(path):
         return result
 
     try:
-        return json.loads(text, object_pairs_hook=hook)
+        return json.loads(text, object_pairs_hook=hook), hashlib.sha256(data).hexdigest()
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -176,11 +180,13 @@ def _parse_vector(obj, path: str, dim: int) -> np.ndarray:
 
 @dataclass
 class FrameFile:
-    """Parsed contents of one interchange file."""
+    """Parsed contents of one interchange file; ``sha256`` is the hash of the
+    bytes a load parsed (``None`` when built in memory; saves ignore it)."""
 
     dim: int
     systems: dict = field(default_factory=dict)
     vectors: dict = field(default_factory=dict)
+    sha256: str | None = None
 
 
 def parse_frame_doc(doc, path: str = "$") -> FrameFile:
@@ -223,8 +229,9 @@ def parse_frame_doc(doc, path: str = "$") -> FrameFile:
 
 
 def load_frame_file(path) -> FrameFile:
-    """Read and validate one interchange file."""
-    return parse_frame_doc(_load_json(path), path=str(path))
+    """Read and validate one interchange file, reading it once."""
+    doc, digest = _load_json(path)
+    return replace(parse_frame_doc(doc, path=str(path)), sha256=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +281,7 @@ def save_frame_file(path, data: FrameFile) -> None:
 
 def load_matrix(path) -> np.ndarray:
     """Read one standalone matrix: {"rows": r, "entries_re": [...], "entries_im": [...]}."""
-    obj = _expect_object(_load_json(path), str(path))
+    obj = _expect_object(_load_json(path)[0], str(path))
     rows = obj.get("rows")
     if isinstance(rows, bool) or not isinstance(rows, int) or rows < 1:
         _fail(f"{path}.rows", "expected a positive integer")
@@ -287,10 +294,3 @@ def load_matrix(path) -> np.ndarray:
 
 def save_matrix(path, matrix) -> None:
     _save(path, _block_doc(np.asarray(matrix, dtype=np.complex128)))
-
-
-def sha256_of_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        digest.update(handle.read())
-    return digest.hexdigest()

@@ -102,8 +102,8 @@ class ClassifyReport:
     ``bounds`` is present exactly when ``is_frame`` holds; verdicts satisfy
     parseval => tight => frame => bessel. ``hermitian_deviation`` refers to
     the operator the verdict was computed from. ``is_riesz`` is ``None`` on
-    pair reports, which do not compute it; ``inverse_norm`` (the operator
-    norm of S^-1) is set only by ``classify_bi_g_frame``, on frames.
+    pair reports, which do not compute it; ``inverse_norm`` (``||H^-1||``, H
+    the Hermitian part of S) is set only by ``classify_bi_g_frame``, on frames.
     """
 
     is_bessel: bool

@@ -553,6 +553,20 @@ def _assert_rel(actual, expected, rel=1e-10):
     assert np.linalg.norm(actual - expected) <= rel * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize("dim,block_dims", [*PRESCRIBED_SHAPES[1:], (7, (3, 5, 2))])
+def test_canonical_pair_is_a_pair_with_inverse_bounds(dim, block_dims):
+    """The canonical dual is itself a bi-g-frame, with operator S^-1: its
+    bounds are (1/D, 1/C)."""
+    pair = _prescribed_pair(dim, block_dims)
+    bounds = classify_bi_g_frame(pair).bounds
+    dual = canonical_pair(pair)
+    assert isinstance(dual, BiGFrameSystem)
+    report = classify_bi_g_frame(dual)
+    assert report.is_frame
+    assert report.bounds.lower == pytest.approx(1.0 / bounds.upper, rel=1e-9)
+    assert report.bounds.upper == pytest.approx(1.0 / bounds.lower, rel=1e-9)
+
+
 @pytest.mark.parametrize("dim,block_dims", PRESCRIBED_SHAPES)
 def test_shared_factor_matches_per_block_solves(dim, block_dims):
     pair = _prescribed_pair(dim, block_dims)

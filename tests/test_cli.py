@@ -1,9 +1,11 @@
+import builtins
 import contextlib
 import hashlib
 import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,8 @@ from bgframes import (
     gen_negative,
     random_hermitian_pd,
 )
-from bgframes.cli import main
+from bgframes.cli import entrypoint, main
+from bgframes.kernel import CholeskyFactor
 from bgframes.fileio import FrameFile, dumps_json, frame_file_doc, load_frame_file, save_matrix
 from conftest import cholesky_breakdown_pair, package_env, random_complex_vector, write_pair_file
 
@@ -191,6 +194,17 @@ def test_cholesky_breakdown_is_a_numerical_failure(capsys, tmp_path):
     assert out == ""
     assert "numerical failure" in err
     assert "Traceback" not in err
+
+
+def test_undecodable_input_names_its_path(capsys, tmp_path):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    gen = ["gen", "--dim", "2", "--dims", "1,2", "--seed", "3", "--out", str(tmp_path / "x.json")]
+    for argv in (["check", str(bad), "--pair", "L,G"], [*gen, "--target-op", str(bad)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {bad}: cannot decode file as UTF-8: ")
 
 
 def test_bad_tol_flag(capsys, instance_a_file):
@@ -380,6 +394,26 @@ def test_identity_computes_each_null_basis_once(
     assert lapack_calls == {"cholesky": 1, "eigvalsh": 1, "svd": svd_calls}
 
 
+@pytest.mark.parametrize("variant, solves", [("1", 2), ("2", 1)])
+def test_reconstruct_variant_2_solves_once_per_command(
+    capsys, monkeypatch, prescribed_file, variant, solves
+):
+    calls = Counter()
+    solve = CholeskyFactor.solve
+
+    def counting(self, b):
+        calls["solve"] += 1
+        return solve(self, b)
+
+    monkeypatch.setattr(CholeskyFactor, "solve", counting)
+    code, _, _ = run_cli(
+        capsys, "reconstruct", prescribed_file, "--pair", "L,G",
+        "--vector", "two", "--variant", variant,
+    )
+    assert code == 0
+    assert calls["solve"] == solves
+
+
 def test_lift_prepares_the_pair_once(capsys, tmp_path, lapack_calls, prescribed_file):
     lapack_calls.clear()
     out = str(tmp_path / "lifted.json")
@@ -409,6 +443,72 @@ def test_non_frames_make_no_factor(capsys, tmp_path, lapack_calls, nonherm_file,
         code, _, _ = run_cli(capsys, argv[0], path, "--pair", "L,G", *argv[1:])
         assert code == 1
         assert lapack_calls["cholesky"] == 0
+
+
+# ---------------------------------------------------------------------------
+# One open per command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--pair", "L,G"],
+        ["bounds", "--pair", "L,G"],
+        ["gcheck", "--system", "L"],
+        ["dual", "--pair", "L,G", "--out", "OUT"],
+        ["reconstruct", "--pair", "L,G", "--vector", "two", "--variant", "2"],
+        ["lift", "--pair", "L,G", "--out", "OUT"],
+        ["identity", "--pair", "L,G", "--vector", "e1", "--perturb", "1"],
+    ],
+)
+def test_each_file_command_opens_its_input_once(
+    capsys, monkeypatch, tmp_path, prescribed_file, argv
+):
+    opened = Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    argv = [str(tmp_path / "out.json") if a == "OUT" else a for a in argv]
+    code, out, _ = run_cli(capsys, argv[0], prescribed_file, *argv[1:])
+    assert code == 0
+    assert opened[prescribed_file] == 1
+    assert json.loads(out)["input_sha256"] == hashlib.sha256(
+        Path(prescribed_file).read_bytes()
+    ).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--pair", "L,missing"],
+        ["dual", "--pair", "missing,G", "--out", "OUT"],
+        ["reconstruct", "--pair", "L,G", "--vector", "nope", "--variant", "2"],
+        ["identity", "--pair", "L,G", "--vector", "nope"],
+    ],
+)
+def test_lookups_come_before_preparation(capsys, tmp_path, argv):
+    """On a pair whose factorization breaks down (exit 3), a missing name
+    still exits 2: every lookup runs before the pair is prepared."""
+    path = tmp_path / "breakdown.json"
+    write_pair_file(path, cholesky_breakdown_pair())
+    argv = [str(tmp_path / "out.json") if a == "OUT" else a for a in argv]
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:], "--tol", "1e-18")
+    assert code == 2
+    assert out == ""
+    assert "not found" in err
+
+
+def test_entrypoint_exits_with_mains_code(capsys, monkeypatch, instance_a_file, nonherm_file):
+    for path, expected in ((instance_a_file, 0), (nonherm_file, 1)):
+        monkeypatch.setattr(sys, "argv", ["bgf", "check", path, "--pair", "L,G"])
+        with pytest.raises(SystemExit) as exc:
+            entrypoint()
+        assert exc.value.code == expected
+        assert json.loads(capsys.readouterr().out)["input"] == path
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Frame file writing and reading: the per-array float writer against the
-per-float rule, the reader's error paths, saves that fail, and the cost of
-writing a full-size instance counted in calls."""
+per-float rule, the reader's error paths, one read per load, saves that fail,
+and the cost of writing a full-size instance counted in calls."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -150,3 +151,30 @@ def test_full_size_save_load_save_is_byte_identical(tmp_path, full_size_file):
     save_frame_file(first, full_size_file)
     save_frame_file(second, load_frame_file(first))
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_load_reads_once_and_hashes_the_bytes_parsed(monkeypatch, tmp_path, instance_a):
+    path = tmp_path / "crlf.json"
+    write_pair_file(path, instance_a)
+    data = path.read_bytes().replace(b"\n", b"\r\n")
+    path.write_bytes(data)
+    opened = []
+    real_open = open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    loaded = load_frame_file(path)
+    assert opened == [path]
+    assert loaded.sha256 == hashlib.sha256(data).hexdigest()
+    assert FrameFile(dim=2).sha256 is None
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_json_errors_keep_their_position_in_crlf_files(tmp_path, newline):
+    path = tmp_path / "bad.json"
+    path.write_bytes(newline.join([b"{", b'"dim": 2,', b"", b' "x": }', b""]))
+    with pytest.raises(SchemaError, match="invalid JSON at line 4 column 7"):
+        load_frame_file(path)

@@ -25,7 +25,7 @@ from bgframes import (
 
 PUBLIC_NAMES = [
     "BiGFrameSystem", "ClassifyReport", "CoefficientSequence", "ConstraintViolated",
-    "ControlledSystem", "DEFAULT_TOL", "DualPair", "FrameBounds", "FrameToolError",
+    "ControlledSystem", "DEFAULT_TOL", "FrameBounds", "FrameToolError",
     "GFrameSystem", "GenSpec", "KINDS", "NotBiGFrame", "NotHermitian",
     "NotInvertibleController", "NotPositiveDefinite", "NotSquare", "SchemaError",
     "ShapeMismatch", "VectorFrame", "as_matrix", "as_vector", "bi_g_frame_operator",
