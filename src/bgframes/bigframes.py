@@ -23,6 +23,7 @@ from .gframes import (
     VectorFrame,
     _check_vector,
     _functionals,
+    g_analysis,
     g_synthesis,
     induced_vectors,
     stacked_analysis_matrix,
@@ -81,15 +82,15 @@ class _PreparedPair:
     report: ClassifyReport
     factor: CholeskyFactor | None
 
-    def _solve(self, b: np.ndarray) -> np.ndarray:
-        """``H^-1 b``; raises ``NotBiGFrame`` unless the pair is a bi-g-frame."""
+    def _gated(self) -> CholeskyFactor:
+        """The factor; raises ``NotBiGFrame`` unless the pair is a bi-g-frame."""
         if self.factor is None:
             report = self.report
             raise NotBiGFrame(
                 f"pair is not a bi-g-frame: hermitian deviation "
                 f"{report.hermitian_deviation:.3e}, tol {report.tolerance:.3e}", report=report
             )
-        return self.factor.solve(b)
+        return self.factor
 
     def _families(self, side: str) -> tuple:
         """``(analysis, synthesis)``: ``(Lambda, Gamma)`` on the gamma side, else swapped."""
@@ -109,7 +110,7 @@ class _PreparedPair:
         """Both dual families from one solve against ``[Lambda^H | Gamma^H]``."""
         sys = self.sys
         stacked = np.vstack((stacked_analysis_matrix(sys.lam), stacked_analysis_matrix(sys.gam)))
-        lam, gam = np.split(self._solve(stacked.conj().T).conj().T, 2)
+        lam, gam = np.split(self._gated().solve(stacked.conj().T).conj().T, 2)
         return BiGFrameSystem(
             GFrameSystem._of_stacked(sys.dim, lam, sys.block_dims),
             GFrameSystem._of_stacked(sys.dim, gam, sys.block_dims),
@@ -122,25 +123,24 @@ class _PreparedPair:
         vs = [_check_vector(self.sys, f) for f in vectors]
         a_lam, a_gam = stacked_analysis_matrix(self.sys.lam), stacked_analysis_matrix(self.sys.gam)
         if variant == 1:
-            return [a_gam.conj().T @ (a_lam @ self._solve(v)) for v in vs]
+            return [a_gam.conj().T @ (a_lam @ self._gated().solve(v)) for v in vs]
         # (Gamma_j (S*)^-1)* = (S*)^-1-solve applied to Gamma_j*.
-        dual_synthesis = self._solve(a_gam.conj().T)
+        dual_synthesis = self._gated().solve(a_gam.conj().T)
         return [dual_synthesis @ (a_lam @ v) for v in vs]
 
     def particular(self, f, side: str) -> CoefficientSequence:
         """The dual-analysis coefficients of ``f`` on ``side``."""
         analysis, _ = self._families(side)
-        y = self._solve(_check_vector(self.sys, f))
-        flat = stacked_analysis_matrix(analysis) @ y
-        return CoefficientSequence._of_flat(flat, self.sys.block_dims)
+        v = _check_vector(self.sys, f)
+        return g_analysis(analysis, self._gated().solve(v))
 
     def null_basis(self, side: str) -> list:
-        """An orthonormal basis of the null space of ``side``'s synthesis map."""
+        """An orthonormal basis of the null space of ``side``'s synthesis map: the last
+        ``sum m_j - n`` columns of a complete QR of the stacked family, of rank n as S is."""
         _, synthesis = self._families(side)
-        _, s, vh = np.linalg.svd(stacked_analysis_matrix(synthesis).conj().T, full_matrices=True)
-        rank = int(np.sum(s > self.report.tolerance * s[0])) if s.size else 0
-        dims = self.sys.block_dims
-        return [CoefficientSequence._of_flat(row, dims) for row in np.conj(vh[rank:])]
+        self._gated()
+        q, _ = np.linalg.qr(stacked_analysis_matrix(synthesis), mode="complete")
+        return CoefficientSequence._of_rows(q[:, self.sys.dim:].T, self.sys.block_dims)
 
     def identity_terms(self, f, g: CoefficientSequence, side: str) -> tuple:
         _, synthesis = self._families(side)
@@ -150,7 +150,7 @@ class _PreparedPair:
             raise ConstraintViolated(
                 f"coefficients do not synthesize the vector: residual {residual:.3e}"
             )
-        y = self._solve(v)
+        y = self._gated().solve(v)
         lam_y = stacked_analysis_matrix(self.sys.lam) @ y
         gam_y = stacked_analysis_matrix(self.sys.gam) @ y
         c = g.to_flat()
@@ -226,8 +226,8 @@ def solve_synthesis_coefficients(
     H the Hermitian part of S, one solve against ``f`` gives the particular
     solution; no dual family is formed. The second return
     value is an orthonormal basis of the stacked synthesis map's null
-    space, in the order the singular value decomposition yields it, so the
-    full solution set is ``particular + span(nullbasis)``.
+    space, from one complete QR of the stacked family (rank n on a
+    bi-g-frame), so the full solution set is ``particular + span(nullbasis)``.
     """
     prepared = _prepare(sys, tol)
     return prepared.particular(f, side), prepared.null_basis(side)

@@ -155,11 +155,11 @@ def _negative(doc, report) -> int:
 
 def _write_beside(args, frame_file: FrameFile, doc, field: str, suffix: str, entries) -> None:
     """Save the input's systems and vectors to ``--out``, with ``entries`` added
-    to ``field`` under the pair's names plus ``suffix``; record what was written."""
-    names = [f"{name}{suffix}" for name in args.pair]
-    added = {**getattr(frame_file, field), **dict(zip(names, entries))}
+    to ``field`` under the pair's names plus ``suffix``; record each name once."""
+    written = dict(zip((f"{name}{suffix}" for name in args.pair), entries))
+    added = {**getattr(frame_file, field), **written}
     save_frame_file(args.out, replace(frame_file, **{field: added}))
-    doc["written"] = names
+    doc["written"] = list(written)
     doc["out"] = args.out
 
 

@@ -105,12 +105,12 @@ def _fail(path: str, message: str):
 
 def _load_json(path) -> tuple:
     """One read of a JSON file: its document, rejecting duplicate keys (names
-    must stay unique), and the SHA-256 of its bytes, decoded as a UTF-8 text-mode
-    ``open`` would (universal newlines); read and decode errors are schema errors."""
+    must stay unique), and the SHA-256 of its bytes, decoded as UTF-8 (a leading
+    BOM ignored) with universal newlines; read and decode errors are schema errors."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read file: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -109,5 +109,5 @@ def classify_biframe(f: VectorFrame, g: VectorFrame, tol: float = DEFAULT_TOL) -
 
 
 def is_riesz_basis(frame: VectorFrame, tol: float = DEFAULT_TOL) -> bool:
-    """Finite-dimensional Riesz criterion: |J| = dim and invertible synthesis."""
+    """Finite-dimensional Riesz criterion: |J| = dim and a frame at ``tol``."""
     return is_g_riesz_basis(_functionals(frame), tol)

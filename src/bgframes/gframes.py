@@ -13,7 +13,7 @@ product of these arrays, reproducible for a fixed BLAS build and thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
@@ -113,20 +113,26 @@ class CoefficientSequence:
         parts = tuple(as_vector(p) for p in self.parts)
         if not parts:
             raise ShapeMismatch("a coefficient sequence needs at least one part")
-        self._store(np.concatenate(parts), tuple(p.shape[0] for p in parts))
+        self._of_rows(np.concatenate(parts)[np.newaxis], [p.shape[0] for p in parts], [self])
 
-    def _store(self, flat: np.ndarray, block_dims: tuple) -> None:
-        object.__setattr__(self, "_flat", flat)
-        object.__setattr__(self, "block_dims", block_dims)
-        object.__setattr__(self, "parts", _views(flat, block_dims))
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray, block_dims, seqs=None) -> list:
+        """Wrap the rows of a finite complex ``k x sum(block_dims)`` matrix no one else writes
+        in ``seqs`` (default: new, no ``__post_init__``), viewing one cut of its columns."""
+        block_dims = tuple(block_dims)
+        rows.setflags(write=False)
+        columns = [block.T for block in _views(rows.T, block_dims)]
+        seqs = seqs or [object.__new__(cls) for _ in range(rows.shape[0])]
+        for seq, flat, parts in zip(seqs, rows, zip(*columns)):
+            object.__setattr__(seq, "_flat", flat)
+            object.__setattr__(seq, "block_dims", block_dims)
+            object.__setattr__(seq, "parts", parts)
+        return seqs
 
     @classmethod
     def _of_flat(cls, flat: np.ndarray, block_dims) -> "CoefficientSequence":
-        """Take over a finite complex vector of length ``sum(block_dims)``
-        that no one else writes, skipping ``__post_init__``."""
-        seq = object.__new__(cls)
-        seq._store(flat, tuple(block_dims))
-        return seq
+        """:meth:`_of_rows` for one vector of length ``sum(block_dims)``."""
+        return cls._of_rows(flat[np.newaxis], block_dims)[0]
 
     def norm_sq(self) -> float:
         """``sum_j ||c_j||^2``."""
@@ -179,8 +185,10 @@ def g_frame_operator(sys: GFrameSystem) -> np.ndarray:
 
 
 def classify_g_frame(sys: GFrameSystem, tol: float = DEFAULT_TOL) -> ClassifyReport:
-    """Classify from the spectrum edges of the block frame operator."""
-    return _spectral_report(g_frame_operator(sys), tol, False, is_g_riesz_basis(sys, tol))
+    """Classify from the spectrum edges of the block frame operator; a frame
+    (analysis matrix of rank n) is a Riesz basis exactly when ``sum_j m_j = n``."""
+    report = _spectral_report(g_frame_operator(sys), tol, False)
+    return replace(report, is_riesz=report.is_frame and sys.total_block_dim == sys.dim)
 
 
 def induced_vectors(sys: GFrameSystem) -> VectorFrame:
@@ -206,13 +214,5 @@ def stacked_analysis_matrix(sys: GFrameSystem) -> np.ndarray:
 
 
 def is_g_riesz_basis(sys: GFrameSystem, tol: float = DEFAULT_TOL) -> bool:
-    """True when the induced vectors form a Riesz basis.
-
-    Finite-dimensionally that means ``sum_j m_j = n`` with an invertible
-    stacked analysis matrix: ``s_min > tol * s_max``.
-    """
-    a = stacked_analysis_matrix(sys)
-    if a.shape[0] != sys.dim:
-        return False
-    s = np.linalg.svd(a.conj().T, compute_uv=False)
-    return bool(s[-1] > tol * s[0])
+    """True for a Riesz basis: ``sum_j m_j = n`` and a frame at ``tol`` (see classify_g_frame)."""
+    return sys.total_block_dim == sys.dim and classify_g_frame(sys, tol).is_frame

@@ -65,10 +65,23 @@ def cholesky_breakdown_pair() -> BiGFrameSystem:
     return BiGFrameSystem(GFrameSystem(6, (lam,)), GFrameSystem(6, (np.eye(6),)))
 
 
+def gauged_identity_pair() -> BiGFrameSystem:
+    """Lambda = (diag(1, 1e-10), 0), Gamma = (diag(1, 1e10), I) on C^2.
+
+    The gauge map ``(A Lambda_1, A^-* Gamma_1)`` with ``A = diag(1, 1e-10)``
+    applied to the pair ``((I, 0), (I, I))``, so S is exactly I. Both stacked
+    families have rank 2, so each coefficient kernel has dimension 4 - 2 = 2,
+    though the lambda side has a singular value of 1e-10.
+    """
+    lam = GFrameSystem(2, (np.diag([1.0, 1e-10]), np.zeros((2, 2))))
+    gam = GFrameSystem(2, (np.diag([1.0, 1e10]), np.eye(2)))
+    return BiGFrameSystem(lam, gam)
+
+
 @pytest.fixture
 def lapack_calls(monkeypatch) -> Counter:
-    """Counts of Cholesky factorizations, Hermitian spectra and singular
-    value decompositions, by name; ``clear()`` resets them."""
+    """Counts of Cholesky factorizations, Hermitian spectra, singular value
+    decompositions and QR factorizations, by name; ``clear()`` resets them."""
     calls: Counter = Counter()
 
     def counting(name):
@@ -80,7 +93,7 @@ def lapack_calls(monkeypatch) -> Counter:
 
         monkeypatch.setattr(np.linalg, name, wrapper)
 
-    for name in ("cholesky", "eigvalsh", "svd"):
+    for name in ("cholesky", "eigvalsh", "svd", "qr"):
         counting(name)
     return calls
 

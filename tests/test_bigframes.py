@@ -31,7 +31,8 @@ from bgframes import (
     stacked_analysis_matrix,
     swap,
 )
-from conftest import cholesky_breakdown_pair, random_complex_vector
+from bgframes.bigframes import _prepare
+from conftest import cholesky_breakdown_pair, gauged_identity_pair, random_complex_vector
 from oracles import (
     adjoint_identity_check,
     dual_pair_bessel_check,
@@ -604,18 +605,56 @@ def test_stacked_operators_match_block_loops(dim, block_dims):
 
 @pytest.mark.parametrize("dim,block_dims", PRESCRIBED_SHAPES)
 def test_null_basis_matches_per_row_from_flat(dim, block_dims):
+    # Any orthonormal basis of the kernel will do, so compare the orthogonal
+    # projectors B^T conj(B) onto the spans, not the rows themselves.
     pair = _prescribed_pair(dim, block_dims)
     f = random_complex_vector(np.random.default_rng(dim), dim)
     for side, family in (("gamma", pair.gam), ("lambda", pair.lam)):
         _, nullbasis = solve_synthesis_coefficients(pair, f, side)
-        _, s, vh = np.linalg.svd(stacked_analysis_matrix(family).conj().T)
-        rank = int(np.sum(s > 1e-9 * s[0]))
-        expected = [CoefficientSequence.from_flat(np.conj(row), block_dims) for row in vh[rank:]]
+        a = stacked_analysis_matrix(family)
+        _, _, vh = np.linalg.svd(a.conj().T)
+        expected = [CoefficientSequence.from_flat(np.conj(row), block_dims) for row in vh[dim:]]
         assert len(nullbasis) == len(expected) == sum(block_dims) - dim
-        for actual, ref in zip(nullbasis, expected):
+        for actual in nullbasis:
             assert actual.block_dims == block_dims
+            assert not actual.to_flat().flags.writeable
             assert all(not p.flags.writeable for p in actual.parts)
-            np.testing.assert_array_equal(actual.to_flat(), ref.to_flat())
+            np.testing.assert_array_equal(np.concatenate(actual.parts), actual.to_flat())
+        b = np.array([g.to_flat() for g in nullbasis]).reshape(-1, sum(block_dims))
+        ref = np.array([g.to_flat() for g in expected]).reshape(-1, sum(block_dims))
+        np.testing.assert_allclose(b.conj() @ b.T, np.eye(len(b)), atol=1e-12)
+        assert np.linalg.norm(a.conj().T @ b.T) <= 1e-12 * np.linalg.norm(a)
+        np.testing.assert_allclose(b.T @ b.conj(), ref.T @ ref.conj(), atol=1e-12)
+
+
+def test_null_basis_of_a_gauged_identity_pair():
+    # S = I, and each stacked family has rank 2 although the lambda side has
+    # a singular value of 1e-10: each kernel is 2-dimensional, and every
+    # basis vector synthesizes 0.
+    pair = gauged_identity_pair()
+    np.testing.assert_array_equal(bi_g_frame_operator(pair), np.eye(2))
+    f = random_complex_vector(np.random.default_rng(5), 2)
+    for side, family in (("gamma", pair.gam), ("lambda", pair.lam)):
+        particular, nullbasis = solve_synthesis_coefficients(pair, f, side)
+        assert len(nullbasis) == 2
+        for g in nullbasis:
+            assert np.linalg.norm(g_synthesis(family, g)) <= 1e-15
+            perturbed = CoefficientSequence.from_flat(
+                particular.to_flat() + (1.0 - 2.0j) * g.to_flat(), pair.block_dims
+            )
+            lhs, rhs = coefficient_identity_terms(pair, f, perturbed, side)
+            assert abs(lhs - rhs) <= 1e-9 * (1.0 + lhs)
+
+
+@pytest.mark.parametrize("side", ["gamma", "lambda"])
+def test_null_basis_needs_a_bi_g_frame(side):
+    rank_deficient = gen_negative(GenSpec(4, (2, 2, 2), 5, "rank_deficient"))
+    for pair in (NONHERM, rank_deficient):
+        prepared = _prepare(pair, 1e-9)
+        with pytest.raises(NotBiGFrame):
+            prepared.null_basis(side)
+        with pytest.raises(ValueError, match="side must be"):
+            prepared.null_basis("both")
 
 
 def test_one_factorization_per_pair_call(lapack_calls):

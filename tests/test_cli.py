@@ -24,7 +24,13 @@ from bgframes import (
 from bgframes.cli import entrypoint, main
 from bgframes.kernel import CholeskyFactor
 from bgframes.fileio import FrameFile, dumps_json, frame_file_doc, load_frame_file, save_matrix
-from conftest import cholesky_breakdown_pair, package_env, random_complex_vector, write_pair_file
+from conftest import (
+    cholesky_breakdown_pair,
+    gauged_identity_pair,
+    package_env,
+    random_complex_vector,
+    write_pair_file,
+)
 
 
 @pytest.fixture
@@ -82,6 +88,16 @@ def test_gcheck(capsys, instance_a_file):
     code, out, _ = run_cli(capsys, "gcheck", instance_a_file, "--system", "L")
     assert code == 0
     assert '"is_riesz": false' in out
+
+
+def test_gcheck_riesz_implies_frame(capsys, tmp_path):
+    thin = GFrameSystem(2, (np.diag([1.0, 1e-5]),))
+    path = tmp_path / "thin.json"
+    write_pair_file(path, BiGFrameSystem(thin, thin))
+    code, out, _ = run_cli(capsys, "gcheck", str(path), "--system", "L")
+    verdicts = json.loads(out)["verdicts"]
+    assert code == 1
+    assert (verdicts["is_frame"], verdicts["is_riesz"]) == (False, False)
 
 
 def test_missing_system_is_input_error(capsys, instance_a_file):
@@ -207,6 +223,18 @@ def test_undecodable_input_names_its_path(capsys, tmp_path):
         assert err.startswith(f"error: {bad}: cannot decode file as UTF-8: ")
 
 
+def test_byte_order_mark_is_accepted(capsys, tmp_path, instance_a_file):
+    data = b"\xef\xbb\xbf" + Path(instance_a_file).read_bytes()
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(data)
+    code, out, _ = run_cli(capsys, "check", str(bom), "--pair", "L,G")
+    assert code == 0
+    plain = run_cli(capsys, "check", instance_a_file, "--pair", "L,G")[1]
+    doc, plain_doc = json.loads(out), json.loads(plain)
+    assert doc["input_sha256"] == hashlib.sha256(data).hexdigest()
+    assert doc["verdicts"] == plain_doc["verdicts"] and doc["bounds"] == plain_doc["bounds"]
+
+
 def test_bad_tol_flag(capsys, instance_a_file):
     code, _, _ = run_cli(capsys, "check", instance_a_file, "--pair", "L,G", "--tol", "-1")
     assert code == 2
@@ -225,6 +253,17 @@ def test_dual_writes_systems(capsys, tmp_path, instance_a_file):
     written = load_frame_file(out_path)
     assert set(written.systems) == {"L", "G", "L~", "G~"}
     np.testing.assert_allclose(written.systems["L~"].blocks[0], [[0.5, 0.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("command, suffix", [("dual", "~"), ("lift", "_lifted")])
+def test_a_family_paired_with_itself_is_written_once(capsys, tmp_path, instance_a_file,
+                                                    command, suffix):
+    out_path = str(tmp_path / "self.json")
+    code, out, _ = run_cli(capsys, command, instance_a_file, "--pair", "L,L", "--out", out_path)
+    assert code == 0
+    assert json.loads(out)["written"] == [f"L{suffix}"]
+    loaded = load_frame_file(out_path)
+    assert f"L{suffix}" in (loaded.systems if command == "dual" else loaded.vectors)
 
 
 def test_dual_on_negative_writes_nothing(capsys, tmp_path, nonherm_file):
@@ -310,6 +349,18 @@ def test_identity_command(capsys, instance_a_file):
     assert '"ok": true' in out
 
 
+def test_identity_on_a_gauged_identity_pair(capsys, tmp_path):
+    path = tmp_path / "gauged.json"
+    write_pair_file(path, gauged_identity_pair())
+    code, out, _ = run_cli(
+        capsys, "identity", str(path), "--pair", "L,G", "--vector", "e1", "--perturb", "1"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert [r["kernel_dim"] for r in doc["results"]] == [2, 2]
+    assert doc["ok"]
+
+
 def test_identity_negative_exits_one(capsys, nonherm_file):
     code, _, _ = run_cli(
         capsys, "identity", nonherm_file, "--pair", "L,G", "--vector", "e1"
@@ -380,10 +431,10 @@ def test_one_preparation_per_command(capsys, tmp_path, lapack_calls, prescribed_
     assert (lapack_calls["cholesky"], lapack_calls["eigvalsh"]) == (1, 1)
 
 
-@pytest.mark.parametrize("side, svd_calls", [("both", 2), ("gamma", 1), ("lambda", 1)])
+@pytest.mark.parametrize("side, qr_calls", [("both", 2), ("gamma", 1), ("lambda", 1)])
 @pytest.mark.parametrize("vector, perturb", [("e1", "0"), ("two", "5")])
 def test_identity_computes_each_null_basis_once(
-    capsys, lapack_calls, prescribed_file, side, svd_calls, vector, perturb
+    capsys, lapack_calls, prescribed_file, side, qr_calls, vector, perturb
 ):
     lapack_calls.clear()
     code, _, _ = run_cli(
@@ -391,7 +442,8 @@ def test_identity_computes_each_null_basis_once(
         "--vector", vector, "--perturb", perturb, "--side", side,
     )
     assert code == 0
-    assert lapack_calls == {"cholesky": 1, "eigvalsh": 1, "svd": svd_calls}
+    assert lapack_calls == {"cholesky": 1, "eigvalsh": 1, "qr": qr_calls}
+    assert lapack_calls["svd"] == 0
 
 
 @pytest.mark.parametrize("variant, solves", [("1", 2), ("2", 1)])

@@ -172,6 +172,17 @@ def test_load_reads_once_and_hashes_the_bytes_parsed(monkeypatch, tmp_path, inst
     assert FrameFile(dim=2).sha256 is None
 
 
+def test_byte_order_mark_is_ignored_and_hashed(tmp_path, instance_a):
+    path = tmp_path / "bom.json"
+    write_pair_file(path, instance_a)
+    plain = load_frame_file(path)
+    data = b"\xef\xbb\xbf" + path.read_bytes()
+    path.write_bytes(data)
+    loaded = load_frame_file(path)
+    assert loaded.sha256 == hashlib.sha256(data).hexdigest() != plain.sha256
+    assert dumps_json(frame_file_doc(loaded)) == dumps_json(frame_file_doc(plain))
+
+
 @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
 def test_json_errors_keep_their_position_in_crlf_files(tmp_path, newline):
     path = tmp_path / "bad.json"

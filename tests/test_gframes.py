@@ -177,6 +177,20 @@ def test_g_riesz_examples():
     assert is_g_riesz_basis(invertible)
 
 
+def test_a_riesz_basis_is_a_frame(lapack_calls):
+    # diag(1, 1e-5) is invertible, but its frame operator diag(1, 1e-10) fails
+    # the frame gate at tol 1e-9; a Riesz basis is a frame, so this is neither.
+    thin = GFrameSystem(2, (np.diag([1.0, 1e-5]),))
+    lapack_calls.clear()
+    report = classify_g_frame(thin)
+    assert (report.is_frame, report.is_riesz) == (False, False)
+    assert lapack_calls == {"eigvalsh": 1}
+    assert not is_g_riesz_basis(thin)
+    assert classify_frame(induced_vectors(thin)).is_riesz is False
+    # At a tolerance the frame passes, it is a Riesz basis.
+    assert classify_g_frame(thin, tol=1e-11).is_riesz and is_g_riesz_basis(thin, tol=1e-11)
+
+
 def test_stacked_analysis_shape():
     stacked = stacked_analysis_matrix(MIXED)
     assert stacked.shape == (3, 2)

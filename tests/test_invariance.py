@@ -3,8 +3,10 @@
 A unitary change of basis, a permutation of the blocks and a swap of the
 two families leave the pair operator's spectrum unchanged in exact
 arithmetic, so every verdict must survive them and every bound may move
-only by rounding. Saving a pair and loading it back must give the same
-analysis matrices bit for bit.
+only by rounding. A gauge map ``(A_j Lambda_j, A_j^-* Gamma_j)`` leaves the
+operator itself unchanged, so everything derived from it must survive too.
+Saving a pair and loading it back must give the same analysis matrices bit
+for bit.
 """
 
 import numpy as np
@@ -15,11 +17,14 @@ from bgframes import (
     BiGFrameSystem,
     GenSpec,
     GFrameSystem,
+    canonical_pair,
     classify_bi_g_frame,
     classify_g_frame,
     gen_bi_g_frame,
     gen_negative,
     random_hermitian_pd,
+    reconstruct,
+    solve_synthesis_coefficients,
     stacked_analysis_matrix,
     swap,
 )
@@ -28,6 +33,12 @@ from bgframes.fileio import FrameFile, load_frame_file, save_frame_file
 PAIR_KINDS = ("prescribed_operator", "rank_deficient", "non_hermitian_pair")
 # Bounds may move by this much, relative to the upper bound.
 BOUND_RTOL = 1e-12
+# A gauge map of condition number up to 1e6 moves the computed S by about
+# 1e6 * eps ~ 2e-10 relative (the largest drift seen over 3,000 draws);
+# derived quantities may move by 50 times that.
+GAUGE_COND = 1e6
+GAUGE_TOL = 1e-9
+GAUGE_RTOL = 1e-8
 
 
 @st.composite
@@ -43,8 +54,23 @@ def generated_pairs(draw):
     return gen_negative(spec)
 
 
+@st.composite
+def parseval_pairs(draw):
+    """``(Q, Q)`` for the blocks of an isometry Q: a Parseval pair, S = I."""
+    block_dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=5)))
+    dim = draw(st.integers(1, sum(block_dims)))
+    q = _unitary(np.random.default_rng(draw(st.integers(0, 2**32))), sum(block_dims))[:, :dim]
+    family = _family(dim, np.split(q, np.cumsum(block_dims)[:-1]))
+    return BiGFrameSystem(family, family)
+
+
 def _family(dim, blocks):
     return GFrameSystem(dim, tuple(blocks))
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
 
 
 def _verdicts(report):
@@ -70,10 +96,8 @@ def _assert_same_pair_classification(before, after):
 @given(pair=generated_pairs(), unitary_seed=st.integers(0, 2**32))
 def test_unitary_change_of_basis_keeps_verdicts(pair, unitary_seed):
     # Lambda_j -> Lambda_j U*, Gamma_j -> Gamma_j U* sends S to U S U*.
-    rng = np.random.default_rng(unitary_seed)
     n = pair.dim
-    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    u_star = u.conj().T
+    u_star = _unitary(np.random.default_rng(unitary_seed), n).conj().T
     rotated = BiGFrameSystem(
         _family(n, (b @ u_star for b in pair.lam.blocks)),
         _family(n, (b @ u_star for b in pair.gam.blocks)),
@@ -96,6 +120,67 @@ def test_block_permutation_keeps_verdicts(data, pair):
 @given(pair=generated_pairs())
 def test_swap_keeps_verdicts(pair):
     _assert_same_classification(classify_bi_g_frame(pair), classify_bi_g_frame(swap(pair)))
+
+
+def _gauges(rng, block_dims, log_cond):
+    """``(A_j, A_j^-*)`` per block, each ``A_j = U diag(s) V*`` with
+    ``cond(A_j) = 10**log_cond`` (a rescaling by ``10**(-log_cond/2)`` when
+    ``m_j = 1``) and its inverse adjoint ``U diag(1/s) V*`` from the same factors."""
+    gauges, half = [], log_cond / 2
+    for m in block_dims:
+        s = 10.0 ** np.concatenate(([-half, half], rng.uniform(-half, half, m)))[:m]
+        u, v_star = _unitary(rng, m), _unitary(rng, m).conj().T
+        gauges.append(((u * s) @ v_star, (u / s) @ v_star))
+    return gauges
+
+
+def _rel_error(actual, expected, scale):
+    return float(np.linalg.norm(actual - expected)) / scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pair=st.one_of(generated_pairs(), parseval_pairs()),
+    gauge_seed=st.integers(0, 2**32),
+    log_cond=st.floats(0.0, np.log10(GAUGE_COND)),
+)
+def test_gauge_map_keeps_everything_read_from_the_operator(pair, gauge_seed, log_cond):
+    # (A_j Lambda_j, A_j^-* Gamma_j) keeps S: Gamma_j* A_j^-1 A_j Lambda_j.
+    rng = np.random.default_rng(gauge_seed)
+    n, gauges = pair.dim, _gauges(rng, pair.block_dims, log_cond)
+    gauged = BiGFrameSystem(
+        _family(n, (a @ b for (a, _), b in zip(gauges, pair.lam.blocks))),
+        _family(n, (a_inv_star @ b for (_, a_inv_star), b in zip(gauges, pair.gam.blocks))),
+    )
+    before, after = classify_bi_g_frame(pair, GAUGE_TOL), classify_bi_g_frame(gauged, GAUGE_TOL)
+    assert _verdicts(after) == _verdicts(before)
+    assert after.is_riesz is before.is_riesz is None
+    if not before.is_frame:
+        return
+    upper = before.bounds.upper
+    assert abs(after.bounds.lower - before.bounds.lower) <= GAUGE_RTOL * upper
+    assert abs(after.bounds.upper - upper) <= GAUGE_RTOL * upper
+    assert abs(after.inverse_norm - before.inverse_norm) <= GAUGE_RTOL * before.inverse_norm
+
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    scale = float(np.linalg.norm(f))
+    for variant in (1, 2):
+        rebuilt = reconstruct(gauged, f, variant, GAUGE_TOL)
+        assert _rel_error(rebuilt, reconstruct(pair, f, variant, GAUGE_TOL), scale) <= GAUGE_RTOL
+    for side in ("gamma", "lambda"):
+        kernel_dims = {
+            len(solve_synthesis_coefficients(p, f, side, GAUGE_TOL)[1]) for p in (pair, gauged)
+        }
+        assert kernel_dims == {sum(pair.block_dims) - n}
+
+    # The dual blocks Lambda_j H^-1 and Gamma_j H^-1 pick up A_j and A_j^-*.
+    dual, gauged_dual = canonical_pair(pair, GAUGE_TOL), canonical_pair(gauged, GAUGE_TOL)
+    for (a, a_inv_star), lt, lt_g, gt, gt_g in zip(
+        gauges, dual.lam.blocks, gauged_dual.lam.blocks, dual.gam.blocks, gauged_dual.gam.blocks
+    ):
+        assert _rel_error(lt_g, a @ lt, np.linalg.norm(a, 2) * np.linalg.norm(lt)) <= GAUGE_RTOL
+        scale = np.linalg.norm(a_inv_star, 2) * np.linalg.norm(gt)
+        assert _rel_error(gt_g, a_inv_star @ gt, scale) <= GAUGE_RTOL
 
 
 @settings(max_examples=50, deadline=None)
