@@ -83,12 +83,17 @@ class _PreparedPair:
     factor: CholeskyFactor | None
 
     def _gated(self) -> CholeskyFactor:
-        """The factor; raises ``NotBiGFrame`` unless the pair is a bi-g-frame."""
+        """The factor; raises ``NotBiGFrame`` unless the pair is a bi-g-frame,
+        naming the gate that decided: the Hermitian deviation or the spectrum edges."""
         if self.factor is None:
             report = self.report
+            if report.is_bessel:
+                lo, hi = report._edges
+                reason = f"smallest eigenvalue {lo:.3e} (largest {hi:.3e})"
+            else:
+                reason = f"hermitian deviation {report.hermitian_deviation:.3e}"
             raise NotBiGFrame(
-                f"pair is not a bi-g-frame: hermitian deviation "
-                f"{report.hermitian_deviation:.3e}, tol {report.tolerance:.3e}", report=report
+                f"pair is not a bi-g-frame: {reason}, tol {report.tolerance:.3e}", report=report
             )
         return self.factor
 
@@ -163,11 +168,7 @@ def _prepare(sys: BiGFrameSystem, tol: float) -> _PreparedPair:
     the spectrum edges are both the frame verdict and the factor's gate."""
     op = bi_g_frame_operator(sys)
     report = _spectral_report(op, tol, hermitian_gates_bessel=True)
-    if not report.is_frame:
-        return _PreparedPair(sys, report, None)
-    h = 0.5 * (op + op.conj().T)
-    bounds = report.bounds
-    return _PreparedPair(sys, report, CholeskyFactor.gated(h, bounds.lower, bounds.upper, tol))
+    return _PreparedPair(sys, report, CholeskyFactor.of(op, report) if report.is_frame else None)
 
 
 def classify_bi_g_frame(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> ClassifyReport:

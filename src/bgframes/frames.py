@@ -20,6 +20,9 @@ from .errors import NotInvertibleController, ShapeMismatch
 from .gframes import VectorFrame, _functionals, classify_g_frame, g_frame_operator, is_g_riesz_basis
 from .kernel import DEFAULT_TOL, ClassifyReport, _spectral_report, as_matrix, solve_pd
 
+# Controllers need s_min > this times s_max: _PD_RATIO's cutoff, where C^-1 keeps ~4 digits.
+_CONTROLLER_RATIO = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class ControlledSystem:
@@ -34,7 +37,7 @@ class ControlledSystem:
         if c.shape != (n, n):
             raise ShapeMismatch(f"controller shape {c.shape} does not match dimension {n}")
         s = np.linalg.svd(c, compute_uv=False)
-        if s[-1] <= 1e-12 * s[0]:
+        if s[-1] <= _CONTROLLER_RATIO * s[0]:
             raise NotInvertibleController(
                 f"controller is numerically singular: smallest singular value {s[-1]:.3e}"
             )
@@ -69,10 +72,10 @@ def canonical_dual(frame: VectorFrame) -> VectorFrame:
 
 
 def check_duality(f: VectorFrame, g: VectorFrame, tol: float = DEFAULT_TOL) -> bool:
-    """True when ``sum_j g_j f_j* = I`` within ``tol`` (Frobenius); then so is
-    its adjoint ``sum_j f_j g_j*``, at the same distance from I."""
+    """True when ``sum_j g_j f_j* = I`` within ``tol`` relative to ``||I||_F = sqrt(n)``
+    (Frobenius); then so is its adjoint ``sum_j f_j g_j*``, at the same distance from I."""
     op = bi_g_frame_operator(from_vector_biframe(f, g))
-    return bool(np.linalg.norm(op - np.eye(f.dim)) <= tol)
+    return bool(np.linalg.norm(op - np.eye(f.dim)) <= tol * np.sqrt(f.dim))
 
 
 def check_controlled_duality(

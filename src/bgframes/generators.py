@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bigframes import BiGFrameSystem, bi_g_frame_operator
-from .errors import NotHermitian, NotPositiveDefinite, ShapeMismatch
-from .gframes import GFrameSystem, g_frame_operator, stacked_analysis_matrix
-from .kernel import DEFAULT_TOL, as_matrix, hermitian_deviation, positive_definite, solve_pd
+from .errors import NotHermitian, ShapeMismatch
+from .gframes import GFrameSystem, classify_g_frame, g_frame_operator, stacked_analysis_matrix
+from .kernel import DEFAULT_TOL, as_matrix, hermitian_deviation, solve_pd
+from .kernel import _PD_RATIO, _require_definite, _spectral_report
 
 KIND_RANDOM = "random_g_frame"
 KIND_PRESCRIBED = "prescribed_operator"
@@ -27,10 +28,7 @@ KIND_NON_HERMITIAN = "non_hermitian_pair"
 KINDS = (KIND_RANDOM, KIND_PRESCRIBED, KIND_RANK_DEFICIENT, KIND_NON_HERMITIAN)
 
 _MAX_REDRAWS = 16
-_FULL_RANK_RATIO = 1e-10
-_TARGET_PD_RATIO = 1e-12
-# Singular-value floor applied to drawn analysis matrices in the
-# prescribed-operator construction; see gen_bi_g_frame.
+# Floor on drawn singular values over the largest: condition <= 20 keeps targets hit to 1e-10.
 _SPECTRAL_FLOOR = 0.05
 
 
@@ -79,9 +77,9 @@ def _draw_blocks(rng, block_dims, dim) -> tuple:
 def gen_g_frame(spec: GenSpec) -> GFrameSystem:
     """Draw a block family with independent standard complex Gaussian entries.
 
-    When the shape admits full rank (``sum m_j >= dim``) a degenerate draw
-    (spectrum ratio below 1e-10) is redrawn, at most 16 times; undersized
-    shapes are returned as drawn and classify as non-frames.
+    When the shape admits full rank (``sum m_j >= dim``) a draw that is not a
+    frame at ``DEFAULT_TOL`` (spectrum ratio at most 1e-9) is redrawn, at most
+    16 times; undersized shapes are returned as drawn and classify as non-frames.
     """
     if spec.kind != KIND_RANDOM:
         raise ValueError(f"gen_g_frame expects kind {KIND_RANDOM!r}, got {spec.kind!r}")
@@ -89,10 +87,7 @@ def gen_g_frame(spec: GenSpec) -> GFrameSystem:
     rank_possible = sum(spec.block_dims) >= spec.dim
     for _ in range(_MAX_REDRAWS):
         sys = GFrameSystem(spec.dim, _draw_blocks(rng, spec.block_dims, spec.dim))
-        if not rank_possible:
-            return sys
-        w = np.linalg.eigvalsh(g_frame_operator(sys))
-        if positive_definite(w[0], w[-1], _FULL_RANK_RATIO):
+        if not rank_possible or classify_g_frame(sys, DEFAULT_TOL).is_frame:
             return sys
     raise RuntimeError(f"no full-rank draw in {_MAX_REDRAWS} attempts (seed {spec.seed})")
 
@@ -147,18 +142,13 @@ def gen_bi_g_frame(spec: GenSpec, target) -> BiGFrameSystem:
             f"sum of block dims {sum(spec.block_dims)} < dimension {n}: "
             "no positive definite pair operator is possible"
         )
-    dev = hermitian_deviation(p)
+    report = _spectral_report(p, _PD_RATIO, hermitian_gates_bessel=False)
+    dev = report.hermitian_deviation
     if dev > DEFAULT_TOL:
         raise NotHermitian(f"target deviation {dev:.3e} exceeds {DEFAULT_TOL:.3e}")
-    h = 0.5 * (p + p.conj().T)
-    w = np.linalg.eigvalsh(h)
-    if not positive_definite(w[0], w[-1], _TARGET_PD_RATIO):
-        raise NotPositiveDefinite(
-            f"target is not positive definite: smallest eigenvalue {w[0]:.6e}",
-            smallest_eigenvalue=float(w[0]),
-        )
+    _require_definite(report)
     lam = _floored_family(_stream(spec.seed), spec.block_dims, n)
-    return _pair_with_target(lam, h)
+    return _pair_with_target(lam, 0.5 * (p + p.conj().T))
 
 
 def gen_negative(spec: GenSpec) -> BiGFrameSystem:

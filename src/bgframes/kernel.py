@@ -1,5 +1,5 @@
-"""Dense complex-matrix primitives: Hermitian deviation, the PD gate, PD solves,
-and the one classification core, which turns an operator into a report.
+"""Dense complex-matrix primitives: Hermitian deviation, PD solves, and the one
+classification core, whose report is the positive-definite gate of every factor.
 
 Everything downstream (frame layers, generators, CLI) goes through this
 module for its numerics. All functions are pure; inputs are validated and
@@ -9,7 +9,7 @@ dependency: PD solves use ``np.linalg.cholesky`` and its triangular inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .errors import NotPositiveDefinite, NotSquare, ShapeMismatch
 #: Package-wide default relative tolerance for verdicts and residual checks.
 DEFAULT_TOL = 1e-9
 
-# Definiteness gate for solve_pd: lambda_min must exceed this times lambda_max.
+# solve_pd's gate on lambda_min / lambda_max: a solve at condition 1e12 still keeps ~4 digits.
 _PD_RATIO = 1e-12
 
 
@@ -77,12 +77,6 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def positive_definite(lo: float, hi: float, ratio: float) -> bool:
-    """The positive-definiteness gate on the spectrum edges of a Hermitian
-    matrix: ``lambda_min > ratio * max(lambda_max, 0)``."""
-    return lo > ratio * max(hi, 0.0)
-
-
 @dataclass(frozen=True)
 class FrameBounds:
     """Optimal lower/upper frame constants; ``0 < lower <= upper``."""
@@ -104,6 +98,7 @@ class ClassifyReport:
     the operator the verdict was computed from. ``is_riesz`` is ``None`` on
     pair reports, which do not compute it; ``inverse_norm`` (``||H^-1||``, H
     the Hermitian part of S) is set only by ``classify_bi_g_frame``, on frames.
+    ``_edges`` holds the spectrum edges of H exactly when ``is_bessel`` holds.
     """
 
     is_bessel: bool
@@ -115,12 +110,14 @@ class ClassifyReport:
     hermitian_deviation: float
     tolerance: float
     inverse_norm: float | None = None
+    _edges: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _spectral_report(
     op: np.ndarray, tol: float, hermitian_gates_bessel: bool, is_riesz: bool | None = None
 ) -> ClassifyReport:
-    """The one classification core: deviation gate, then spectrum edges.
+    """The one classification core: deviation gate, then the spectrum edges
+    ``lo, hi`` of the Hermitian part, a frame when ``lo > tol * max(hi, 0)``.
 
     ``hermitian_gates_bessel`` is false for Gram operators, which are
     Hermitian and Bessel by construction: their deviation is rounding, so
@@ -132,32 +129,39 @@ def _spectral_report(
     h = 0.5 * (op + op.conj().T)
     w = np.linalg.eigvalsh(h)
     lo, hi = float(w[0]), float(w[-1])
-    is_frame = positive_definite(lo, hi, tol)
+    is_frame = lo > tol * max(hi, 0.0)
     is_tight = is_frame and (hi - lo) <= tol * hi
     is_parseval = is_tight and abs(hi - 1.0) <= tol
     bounds = FrameBounds(lo, hi) if is_frame else None
-    return ClassifyReport(True, is_frame, is_tight, is_parseval, is_riesz, bounds, dev, tol)
+    return ClassifyReport(
+        True, is_frame, is_tight, is_parseval, is_riesz, bounds, dev, tol, _edges=(lo, hi)
+    )
+
+
+def _require_definite(report: ClassifyReport) -> None:
+    """Raise ``NotPositiveDefinite`` unless the Bessel ``report`` passed the frame gate."""
+    if not report.is_frame:
+        lo, hi = report._edges
+        raise NotPositiveDefinite(
+            f"matrix is not positive definite: smallest eigenvalue {lo:.6e} (largest {hi:.6e})", lo
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class CholeskyFactor:
-    """``L^-1`` for the Cholesky factor of Hermitian positive definite ``h = L L*``;
-    one factor, built by :meth:`gated`, serves any number of solves."""
+    """``L^-1`` for the Cholesky factor of an operator's Hermitian PD part ``h = L L*``;
+    one factor, built by :meth:`of`, serves any number of solves."""
 
     h: np.ndarray
     l_inv: np.ndarray
 
     @classmethod
-    def gated(cls, h: np.ndarray, lo: float, hi: float, ratio: float) -> "CholeskyFactor":
-        """Factor ``h``, whose spectrum edges are ``lo`` and ``hi``; raises
-        ``NotPositiveDefinite`` unless they pass :func:`positive_definite`, and
+    def of(cls, op: np.ndarray, report: ClassifyReport) -> "CholeskyFactor":
+        """Factor the Hermitian part of ``op``, whose Bessel ``report`` must have
+        passed the frame gate (else ``NotPositiveDefinite``); raises
         ``numpy.linalg.LinAlgError`` when the factorization itself fails."""
-        if not positive_definite(lo, hi, ratio):
-            raise NotPositiveDefinite(
-                f"matrix is not positive definite: smallest eigenvalue {lo:.6e} "
-                f"(largest {hi:.6e})",
-                smallest_eigenvalue=lo,
-            )
+        _require_definite(report)
+        h = 0.5 * (op + op.conj().T)
         return cls(h, np.linalg.inv(np.linalg.cholesky(h)))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -178,7 +182,7 @@ def solve_pd(m, b) -> np.ndarray:
     works with.
 
     Raises ``NotPositiveDefinite`` (with the offending smallest eigenvalue)
-    when ``lambda_min <= 1e-12 * lambda_max``.
+    when ``lambda_min <= 1e-12 * lambda_max`` (``_PD_RATIO``), whatever the caller's tol.
     """
     a = as_matrix(m)
     n = a.shape[0]
@@ -189,6 +193,5 @@ def solve_pd(m, b) -> np.ndarray:
         raise ShapeMismatch(f"right-hand side shape {rhs.shape} does not match order {n}")
     if not np.isfinite(rhs).all():
         raise ValueError("right-hand side entries must be finite")
-    h = 0.5 * (a + a.conj().T)
-    w = np.linalg.eigvalsh(h)
-    return CholeskyFactor.gated(h, float(w[0]), float(w[-1]), _PD_RATIO).solve(rhs)
+    report = _spectral_report(a, _PD_RATIO, hermitian_gates_bessel=False)
+    return CholeskyFactor.of(a, report).solve(rhs)

@@ -219,6 +219,18 @@ def test_canonical_pair_rejects_non_frame():
     assert not excinfo.value.report.is_frame
 
 
+def test_not_bi_g_frame_names_the_gate_that_decided():
+    # Passes the Hermitian gate and fails definiteness: the message names the edges.
+    rank_deficient = gen_negative(GenSpec(4, (2, 2, 2), 5, "rank_deficient"))
+    with pytest.raises(NotBiGFrame, match="smallest eigenvalue") as excinfo:
+        canonical_pair(rank_deficient)
+    assert "hermitian deviation" not in str(excinfo.value)
+    assert excinfo.value.report.is_bessel and "tol 1.000e-09" in str(excinfo.value)
+    with pytest.raises(NotBiGFrame, match="hermitian deviation") as excinfo:
+        canonical_pair(NONHERM)
+    assert "eigenvalue" not in str(excinfo.value)
+
+
 def test_reconstruct_instance_a(instance_a):
     np.testing.assert_allclose(
         reconstruct(instance_a, [1.0, 0.0], 1), [1.0, 0.0], atol=1e-12

@@ -16,6 +16,7 @@ from bgframes import (
     frame_operator,
     inner,
     is_riesz_basis,
+    solve_pd,
     synthesis_matrix,
 )
 from conftest import random_complex_vector
@@ -171,6 +172,17 @@ def test_check_duality_swap_is_not_dual():
     assert check_duality(ORTHO_2, ORTHO_2)
 
 
+def test_check_duality_reads_tol_relative_to_the_identity():
+    # ||op - I||_F is 1.5 tol: within tol * ||I||_F = 2 tol on C^4, not within tol.
+    tol = 1e-6
+    basis = VectorFrame(4, tuple(np.eye(4)))
+    for shift, dual in ((1.5 * tol, True), (2.5 * tol, False)):
+        near = VectorFrame(4, tuple(np.diag([1.0 + shift, 1.0, 1.0, 1.0])))
+        assert check_duality(basis, near, tol) is dual
+        controlled = ControlledSystem(basis, np.diag([1.0 + shift, 1.0, 1.0, 1.0]))
+        assert check_controlled_duality(controlled, basis, tol) is dual
+
+
 def test_check_duality_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         check_duality(ORTHO_2, REDUNDANT)
@@ -219,6 +231,12 @@ def test_controlled_rejects_singular_controller():
         ControlledSystem(ORTHO_2, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
+def test_controller_ratio_boundary():
+    ControlledSystem(ORTHO_2, np.diag([1.0, 1e-11]))
+    with pytest.raises(NotInvertibleController):
+        ControlledSystem(ORTHO_2, np.diag([1.0, 1e-13]))
+
+
 def test_controlled_duality_one_sided():
     # With C = diag(2, 1) and the standard basis, duals (1/2, 0), (0, 1)
     # satisfy f = sum_j <f, g_j> C f_j.
@@ -226,6 +244,22 @@ def test_controlled_duality_one_sided():
     duals = VectorFrame(2, (np.array([0.5, 0.0]), np.array([0.0, 1.0])))
     assert check_controlled_duality(sys, duals)
     assert not check_controlled_duality(sys, ORTHO_2)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_solvers_gate_where_classify_does_at_1e_12(k):
+    # Frame operator diag(1, 10^-2k), exactly 1e-12 at k = 6: the solvers raise
+    # exactly where classify at tol 1e-12 finds no frame.
+    frame = VectorFrame(2, (np.array([1.0, 0.0]), np.array([0.0, 10.0**-k])))
+    is_frame = classify_frame(frame, tol=1e-12).is_frame
+    assert is_frame == (k == 5)
+    solves = (lambda: canonical_dual(frame), lambda: solve_pd(frame_operator(frame), np.eye(2)))
+    for solve in solves:
+        if is_frame:
+            solve()
+        else:
+            with pytest.raises(NotPositiveDefinite):
+                solve()
 
 
 # ---------------------------------------------------------------------------

@@ -179,10 +179,10 @@ def test_solve_pd_rejects_indefinite():
 
 def test_cholesky_gate_reads_its_ratio():
     h = np.diag([1.0, 1e-13]).astype(np.complex128)
-    factor = CholeskyFactor.gated(h, 1e-13, 1.0, 1e-15)
+    factor = CholeskyFactor.of(h, _spectral_report(h, 1e-15, hermitian_gates_bessel=False))
     np.testing.assert_allclose(factor.solve(np.array([1.0, 1e-13])), [1.0, 1.0], rtol=1e-14)
     with pytest.raises(NotPositiveDefinite) as excinfo:
-        CholeskyFactor.gated(h, 1e-13, 1.0, 1e-12)
+        CholeskyFactor.of(h, _spectral_report(h, 1e-12, hermitian_gates_bessel=False))
     assert excinfo.value.smallest_eigenvalue == 1e-13
     with pytest.raises(NotPositiveDefinite):
         solve_pd(h, np.ones(2))
@@ -196,7 +196,7 @@ def test_cholesky_solve_agrees_with_dense_solve(n, cond):
     w = np.geomspace(1.0 / cond, 1.0, n)
     h = (q * w) @ q.conj().T
     h = 0.5 * (h + h.conj().T)
-    factor = CholeskyFactor.gated(h, w[0], w[-1], 1e-12)
+    factor = CholeskyFactor.of(h, _spectral_report(h, 1e-12, hermitian_gates_bessel=False))
     for shape in ((n,), (n, 3)):
         b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         x = factor.solve(b)

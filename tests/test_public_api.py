@@ -103,3 +103,14 @@ def test_modules_import_down_the_stack():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 assert node.module in MODULE_STACK[:position], (name, node.module)
+
+
+def test_only_kernel_takes_spectra_and_factors():
+    package = Path(bgframes.__file__).parent
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for a in node.names}
+        if path.stem != "kernel":
+            assert not names & {"eigvalsh", "cholesky"}, path.stem
