@@ -12,7 +12,7 @@ positive definite; the optimal constants are the spectrum edges of ``S``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,10 +40,14 @@ from .kernel import (
 
 @dataclass(frozen=True, eq=False)
 class BiGFrameSystem:
-    """A shape-matched pair of block families over one ambient space."""
+    """A shape-matched pair of block families over one ambient space.
+
+    ``_prepared`` holds ``(tol, report, factor)`` from the last :func:`_prepare`
+    at one tolerance; both families are frozen, so it stays valid."""
 
     lam: GFrameSystem
     gam: GFrameSystem
+    _prepared: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lam.dim != self.gam.dim:
@@ -165,10 +169,15 @@ class _PreparedPair:
 
 def _prepare(sys: BiGFrameSystem, tol: float) -> _PreparedPair:
     """Operator, Hermitian gate, one spectrum and (for frames) one factor:
-    the spectrum edges are both the frame verdict and the factor's gate."""
-    op = bi_g_frame_operator(sys)
-    report = _spectral_report(op, tol, hermitian_gates_bessel=True)
-    return _PreparedPair(sys, report, CholeskyFactor.of(op, report) if report.is_frame else None)
+    the spectrum edges are both the frame verdict and the factor's gate.
+    Kept on ``sys`` for the last ``tol`` only, and only once the factor is built."""
+    kept = sys._prepared
+    if kept is None or kept[0] != tol:
+        op = bi_g_frame_operator(sys)
+        report = _spectral_report(op, tol, hermitian_gates_bessel=True)
+        kept = (tol, report, CholeskyFactor.of(op, report) if report.is_frame else None)
+        object.__setattr__(sys, "_prepared", kept)
+    return _PreparedPair(sys, *kept[1:])
 
 
 def classify_bi_g_frame(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> ClassifyReport:

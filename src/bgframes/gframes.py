@@ -121,7 +121,8 @@ class CoefficientSequence:
         in ``seqs`` (default: new, no ``__post_init__``), viewing one cut of its columns."""
         block_dims = tuple(block_dims)
         rows.setflags(write=False)
-        columns = [block.T for block in _views(rows.T, block_dims)]
+        offsets = list(accumulate(block_dims, initial=0))
+        columns = [rows[:, x:y] for x, y in zip(offsets, offsets[1:])]
         seqs = seqs or [object.__new__(cls) for _ in range(rows.shape[0])]
         for seq, flat, parts in zip(seqs, rows, zip(*columns)):
             object.__setattr__(seq, "_flat", flat)

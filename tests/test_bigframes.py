@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -674,20 +677,16 @@ def test_one_factorization_per_pair_call(lapack_calls):
         GenSpec(16, (4,) * 8, 3, "prescribed_operator"), random_hermitian_pd(16, 3)
     )
     f = random_complex_vector(np.random.default_rng(3), 16)
-    particular, _ = solve_synthesis_coefficients(pair, f, "gamma")
-    calls = [
-        lambda: classify_bi_g_frame(pair),
-        lambda: canonical_pair(pair),
-        lambda: reconstruct(pair, f, 1),
-        lambda: reconstruct(pair, f, 2),
-        lambda: solve_synthesis_coefficients(pair, f, "gamma"),
-        lambda: solve_synthesis_coefficients(pair, f, "lambda"),
-        lambda: coefficient_identity_terms(pair, f, particular, "gamma"),
-    ]
-    for call in calls:
-        lapack_calls.clear()
-        call()
-        assert (lapack_calls["cholesky"], lapack_calls["eigvalsh"]) == (1, 1)
+    particular, _ = solve_synthesis_coefficients(BiGFrameSystem(pair.lam, pair.gam), f, "gamma")
+    lapack_calls.clear()
+    classify_bi_g_frame(pair)
+    canonical_pair(pair)
+    reconstruct(pair, f, 1)
+    reconstruct(pair, f, 2)
+    solve_synthesis_coefficients(pair, f, "gamma")
+    solve_synthesis_coefficients(pair, f, "lambda")
+    coefficient_identity_terms(pair, f, particular, "gamma")
+    assert (lapack_calls["cholesky"], lapack_calls["eigvalsh"]) == (1, 1)
 
 
 def test_no_factorization_for_non_frames(lapack_calls):
@@ -696,11 +695,108 @@ def test_no_factorization_for_non_frames(lapack_calls):
     assert not classify_bi_g_frame(rank_deficient).is_frame
     assert lapack_calls["cholesky"] == 0
     for pair in (NONHERM, rank_deficient):
-        with pytest.raises(NotBiGFrame):
-            canonical_pair(pair)
-        with pytest.raises(NotBiGFrame):
-            reconstruct(pair, np.ones(pair.dim), 2)
-    assert lapack_calls["cholesky"] == 0
+        messages = set()
+        for _ in range(3):
+            for call in (canonical_pair, lambda p: reconstruct(p, np.ones(p.dim), 2)):
+                with pytest.raises(NotBiGFrame) as exc:
+                    call(pair)
+                messages.add(str(exc.value))
+        assert len(messages) == 1
+    # The Hermitian gate rules out NONHERM before any spectrum; the rank-deficient
+    # pair keeps the one spectrum its classification computed.
+    assert (lapack_calls["cholesky"], lapack_calls["eigvalsh"]) == (0, 1)
+
+
+def _pair_calls(make, f, g) -> list:
+    """Every public pair function, each on the pair ``make()`` returns, as arrays and a report."""
+    dual = canonical_pair(make())
+    out = [classify_bi_g_frame(make())]
+    out += [stacked_analysis_matrix(dual.lam), stacked_analysis_matrix(dual.gam)]
+    out += [reconstruct(make(), f, variant) for variant in (1, 2)]
+    for side in ("gamma", "lambda"):
+        particular, nullbasis = solve_synthesis_coefficients(make(), f, side)
+        out += [particular.to_flat()] + [b.to_flat() for b in nullbasis]
+    out.append(np.array(coefficient_identity_terms(make(), f, g, "gamma")))
+    return out
+
+
+def test_a_warm_pair_returns_what_a_fresh_pair_computes():
+    pair = gen_bi_g_frame(
+        GenSpec(8, (2, 3, 4, 1), 7, "prescribed_operator"), random_hermitian_pd(8, 7)
+    )
+    f = random_complex_vector(np.random.default_rng(7), 8)
+    g, _ = solve_synthesis_coefficients(BiGFrameSystem(pair.lam, pair.gam), f, "gamma")
+    classify_bi_g_frame(pair)
+    warm = _pair_calls(lambda: pair, f, g)
+    fresh = _pair_calls(lambda: BiGFrameSystem(pair.lam, pair.gam), f, g)
+    assert warm[0] == fresh[0] and warm[0].inverse_norm == fresh[0].inverse_norm
+    assert len(warm) == len(fresh)
+    assert all(np.array_equal(a, b) for a, b in zip(warm[1:], fresh[1:]))
+
+
+def test_a_new_tol_prepares_the_pair_again(lapack_calls):
+    # Spectrum edges 1e-3 and 1: a frame at 1e-9, not at 1e-2.
+    pair = gen_bi_g_frame(
+        GenSpec(8, (4, 4, 4), 11, "prescribed_operator"), np.diag(np.r_[1e-3, np.ones(7)])
+    )
+    lapack_calls.clear()
+    assert classify_bi_g_frame(pair, 1e-9).is_frame
+    canonical_pair(pair, 1e-9)
+    assert (lapack_calls["cholesky"], lapack_calls["eigvalsh"]) == (1, 1)
+    assert not classify_bi_g_frame(pair, 1e-2).is_frame
+    with pytest.raises(NotBiGFrame, match="tol 1.000e-02"):
+        canonical_pair(pair, 1e-2)
+    assert (lapack_calls["cholesky"], lapack_calls["eigvalsh"]) == (1, 2)
+    assert classify_bi_g_frame(pair, 1e-9).is_frame
+    assert (lapack_calls["cholesky"], lapack_calls["eigvalsh"]) == (2, 3)
+
+
+def test_a_failed_factorization_keeps_nothing(monkeypatch):
+    pair = gen_bi_g_frame(
+        GenSpec(6, (2, 2, 3), 13, "prescribed_operator"), random_hermitian_pd(6, 13)
+    )
+    cholesky = np.linalg.cholesky
+    failures = [np.linalg.LinAlgError("breakdown")]
+
+    def fail_once(h):
+        if failures:
+            raise failures.pop()
+        return cholesky(h)
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail_once)
+    with pytest.raises(np.linalg.LinAlgError, match="breakdown"):
+        classify_bi_g_frame(pair)
+    assert pair._prepared is None
+    assert classify_bi_g_frame(pair) == classify_bi_g_frame(BiGFrameSystem(pair.lam, pair.gam))
+
+
+def test_a_dropped_pair_is_freed_by_refcount():
+    pair = gen_bi_g_frame(
+        GenSpec(6, (3, 3), 17, "prescribed_operator"), random_hermitian_pd(6, 17)
+    )
+    classify_bi_g_frame(pair)
+    canonical_pair(pair)
+    ref = weakref.ref(pair)
+    gc.disable()
+    try:
+        del pair
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_swap_and_dual_do_not_share_the_slot():
+    pair = gen_bi_g_frame(
+        GenSpec(6, (3, 3), 19, "prescribed_operator"), random_hermitian_pd(6, 19)
+    )
+    classify_bi_g_frame(pair)
+    kept = pair._prepared
+    swapped, dual = swap(pair), canonical_pair(pair)
+    assert swapped._prepared is None and dual._prepared is None
+    classify_bi_g_frame(swapped, 1e-6)
+    classify_bi_g_frame(dual, 1e-6)
+    assert pair._prepared is kept
+    assert swapped._prepared[0] == dual._prepared[0] == 1e-6
 
 
 SHIFT_PAIR = BiGFrameSystem(
