@@ -42,8 +42,9 @@ from .kernel import (
 class BiGFrameSystem:
     """A shape-matched pair of block families over one ambient space.
 
-    ``_prepared`` holds ``(tol, report, factor)`` from the last :func:`_prepare`
-    at one tolerance; both families are frozen, so it stays valid."""
+    ``_prepared`` holds ``(tol, report, factor, bases)`` from the last :func:`_prepare`
+    at one tolerance, ``bases`` each side's null basis once a call has built it;
+    both families are frozen, so it stays valid."""
 
     lam: GFrameSystem
     gam: GFrameSystem
@@ -79,12 +80,14 @@ def bi_g_frame_operator(sys: BiGFrameSystem) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _PreparedPair:
     """A pair's verdicts and, for a frame, the Cholesky factor of the Hermitian
-    part H of its operator S, which S* shares. The pair operations are methods
-    that read ``report.tolerance`` and check their arguments before the frame gate."""
+    part H of its operator S, which S* shares, and the null bases built so far,
+    by side. The pair operations are methods that read ``report.tolerance`` and
+    check their arguments before the frame gate."""
 
     sys: BiGFrameSystem
     report: ClassifyReport
     factor: CholeskyFactor | None
+    bases: dict
 
     def _gated(self) -> CholeskyFactor:
         """The factor; raises ``NotBiGFrame`` unless the pair is a bi-g-frame,
@@ -145,11 +148,16 @@ class _PreparedPair:
 
     def null_basis(self, side: str) -> list:
         """An orthonormal basis of the null space of ``side``'s synthesis map: the last
-        ``sum m_j - n`` columns of a complete QR of the stacked family, of rank n as S is."""
+        ``sum m_j - n`` columns of a complete QR of the stacked family, of rank n as S is.
+        Built on the first call for ``side`` and kept; each call returns a new list."""
         _, synthesis = self._families(side)
         self._gated()
-        q, _ = np.linalg.qr(stacked_analysis_matrix(synthesis), mode="complete")
-        return CoefficientSequence._of_rows(q[:, self.sys.dim:].T, self.sys.block_dims)
+        basis = self.bases.get(side)
+        if basis is None:
+            q, _ = np.linalg.qr(stacked_analysis_matrix(synthesis), mode="complete")
+            rows = np.ascontiguousarray(q[:, self.sys.dim:].T)
+            basis = self.bases[side] = CoefficientSequence._of_rows(rows, self.sys.block_dims)
+        return list(basis)
 
     def identity_terms(self, f, g: CoefficientSequence, side: str) -> tuple:
         _, synthesis = self._families(side)
@@ -170,12 +178,13 @@ class _PreparedPair:
 def _prepare(sys: BiGFrameSystem, tol: float) -> _PreparedPair:
     """Operator, Hermitian gate, one spectrum and (for frames) one factor:
     the spectrum edges are both the frame verdict and the factor's gate.
-    Kept on ``sys`` for the last ``tol`` only, and only once the factor is built."""
+    Kept on ``sys`` for the last ``tol`` only, and only once the factor is built,
+    with an empty dict in which each side's null basis is kept once built."""
     kept = sys._prepared
     if kept is None or kept[0] != tol:
         op = bi_g_frame_operator(sys)
         report = _spectral_report(op, tol, hermitian_gates_bessel=True)
-        kept = (tol, report, CholeskyFactor.of(op, report) if report.is_frame else None)
+        kept = (tol, report, CholeskyFactor.of(op, report) if report.is_frame else None, {})
         object.__setattr__(sys, "_prepared", kept)
     return _PreparedPair(sys, *kept[1:])
 
@@ -238,6 +247,8 @@ def solve_synthesis_coefficients(
     value is an orthonormal basis of the stacked synthesis map's null
     space, from one complete QR of the stacked family (rank n on a
     bi-g-frame), so the full solution set is ``particular + span(nullbasis)``.
+    The basis depends on the pair alone: it is built once per pair, side and
+    ``tol``, and every call returns a new list of the same read-only sequences.
     """
     prepared = _prepare(sys, tol)
     return prepared.particular(f, side), prepared.null_basis(side)

@@ -282,11 +282,10 @@ def _cmd_identity(args) -> int:
     if not prepared.report.is_frame:
         return _negative(doc, prepared.report)
     sides = ("gamma", "lambda") if args.side == "both" else (args.side,)
-    nullbases = {side: prepared.null_basis(side) for side in sides}
     results = []
     for index, vec in enumerate(vectors):
         for side in sides:
-            particular, nullbasis = prepared.particular(vec, side), nullbases[side]
+            particular, nullbasis = prepared.particular(vec, side), prepared.null_basis(side)
             rng = np.random.default_rng(_IDENTITY_SEED + index)
             draws = [_perturbed(particular, nullbasis, rng) for _ in range(args.perturb)]
             try:

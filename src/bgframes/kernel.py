@@ -121,8 +121,11 @@ def _spectral_report(
 
     ``hermitian_gates_bessel`` is false for Gram operators, which are
     Hermitian and Bessel by construction: their deviation is rounding, so
-    it is reported but gates nothing.
+    it is reported but gates nothing. Raises ``ValueError`` unless ``tol`` is
+    finite and non-negative.
     """
+    if not (tol >= 0.0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     dev = hermitian_deviation(op)
     if hermitian_gates_bessel and dev > tol:
         return ClassifyReport(False, False, False, False, is_riesz, None, dev, tol)

@@ -662,14 +662,21 @@ def test_null_basis_of_a_gauged_identity_pair():
 
 
 @pytest.mark.parametrize("side", ["gamma", "lambda"])
-def test_null_basis_needs_a_bi_g_frame(side):
+def test_null_basis_needs_a_bi_g_frame(lapack_calls, side):
     rank_deficient = gen_negative(GenSpec(4, (2, 2, 2), 5, "rank_deficient"))
+    lapack_calls.clear()
     for pair in (NONHERM, rank_deficient):
-        prepared = _prepare(pair, 1e-9)
-        with pytest.raises(NotBiGFrame):
-            prepared.null_basis(side)
-        with pytest.raises(ValueError, match="side must be"):
-            prepared.null_basis("both")
+        messages = set()
+        for _ in range(3):
+            prepared = _prepare(pair, 1e-9)
+            with pytest.raises(NotBiGFrame) as exc:
+                prepared.null_basis(side)
+            messages.add(str(exc.value))
+            with pytest.raises(ValueError, match="side must be"):
+                prepared.null_basis("both")
+        assert len(messages) == 1
+        assert prepared.bases == {}
+    assert lapack_calls["qr"] == 0
 
 
 def test_one_factorization_per_pair_call(lapack_calls):
@@ -683,10 +690,10 @@ def test_one_factorization_per_pair_call(lapack_calls):
     canonical_pair(pair)
     reconstruct(pair, f, 1)
     reconstruct(pair, f, 2)
-    solve_synthesis_coefficients(pair, f, "gamma")
-    solve_synthesis_coefficients(pair, f, "lambda")
+    for side in ("gamma", "lambda", "gamma", "lambda"):
+        solve_synthesis_coefficients(pair, f, side)
     coefficient_identity_terms(pair, f, particular, "gamma")
-    assert (lapack_calls["cholesky"], lapack_calls["eigvalsh"]) == (1, 1)
+    assert (lapack_calls["cholesky"], lapack_calls["eigvalsh"], lapack_calls["qr"]) == (1, 1, 2)
 
 
 def test_no_factorization_for_non_frames(lapack_calls):
@@ -797,6 +804,66 @@ def test_swap_and_dual_do_not_share_the_slot():
     classify_bi_g_frame(dual, 1e-6)
     assert pair._prepared is kept
     assert swapped._prepared[0] == dual._prepared[0] == 1e-6
+
+
+def _flats(basis) -> list:
+    return [g.to_flat() for g in basis]
+
+
+def test_a_kept_null_basis_is_what_a_fresh_pair_computes(lapack_calls):
+    pair = gen_bi_g_frame(
+        GenSpec(8, (2, 3, 4, 1), 23, "prescribed_operator"), random_hermitian_pd(8, 23)
+    )
+    f = random_complex_vector(np.random.default_rng(23), 8)
+    lapack_calls.clear()
+    for side in ("gamma", "lambda"):
+        _, first = solve_synthesis_coefficients(pair, f, side)
+        _, second = solve_synthesis_coefficients(pair, f, side)
+        assert second is not first and all(a is b for a, b in zip(first, second))
+        first.clear()
+        assert len(_prepare(pair, 1e-9).null_basis(side)) == len(second) == 10 - 8
+        _, fresh = solve_synthesis_coefficients(BiGFrameSystem(pair.lam, pair.gam), f, side)
+        assert len(fresh) == len(second)
+        assert all(np.array_equal(a, b) for a, b in zip(_flats(second), _flats(fresh)))
+        # Each side keeps its own rows, not a view of the complete Q.
+        assert second[0].to_flat().base.shape == (2, 10)
+    assert lapack_calls["qr"] == 4
+
+
+def test_a_new_tol_builds_the_null_basis_again(lapack_calls):
+    pair = gen_bi_g_frame(
+        GenSpec(6, (2, 3, 4), 29, "prescribed_operator"), random_hermitian_pd(6, 29)
+    )
+    lapack_calls.clear()
+    kept = _prepare(pair, 1e-9).null_basis("gamma")
+    _prepare(pair, 1e-9).null_basis("gamma")
+    assert lapack_calls["qr"] == 1
+    other = _prepare(pair, 1e-8).null_basis("gamma")
+    _prepare(pair, 1e-8).null_basis("gamma")
+    assert lapack_calls["qr"] == 2
+    again = _prepare(pair, 1e-9).null_basis("gamma")
+    assert lapack_calls["qr"] == 3
+    assert not any(a is b for a, b in zip(kept, other))
+    assert all(np.array_equal(a, b) for a, b in zip(_flats(kept), _flats(again)))
+
+
+def test_swap_and_dual_do_not_share_the_null_bases():
+    pair = gen_bi_g_frame(
+        GenSpec(6, (3, 3, 2), 31, "prescribed_operator"), random_hermitian_pd(6, 31)
+    )
+    prepared = _prepare(pair, 1e-9)
+    kept = {side: prepared.null_basis(side) for side in ("gamma", "lambda")}
+    swapped, dual = swap(pair), canonical_pair(pair)
+    assert swapped._prepared is None and dual._prepared is None
+    # Swapping the families swaps the sides: the same rows, in new sequences.
+    mirrored = _prepare(swapped, 1e-9).null_basis("gamma")
+    assert all(np.array_equal(a, b) for a, b in zip(_flats(mirrored), _flats(kept["lambda"])))
+    assert not any(a is b for a, b in zip(mirrored, kept["lambda"]))
+    assert _prepare(dual, 1e-9).bases == {}
+    _prepare(dual, 1e-9).null_basis("gamma")
+    assert pair._prepared[3].keys() == {"gamma", "lambda"}
+    for side, basis in kept.items():
+        assert all(a is b for a, b in zip(pair._prepared[3][side], basis))
 
 
 SHIFT_PAIR = BiGFrameSystem(

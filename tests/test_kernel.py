@@ -7,13 +7,19 @@ from hypothesis import strategies as st
 
 from bgframes import (
     BiGFrameSystem,
+    GenSpec,
     GFrameSystem,
     NotPositiveDefinite,
     NotSquare,
     ShapeMismatch,
     as_matrix,
+    classify_bi_g_frame,
+    classify_biframe,
+    classify_g_frame,
+    gen_negative,
     hermitian_deviation,
     inner,
+    lift_to_biframe,
     operator_norm,
     solve_pd,
 )
@@ -257,3 +263,34 @@ def test_inner_is_linear_in_first_argument():
     # sum_i u[i] conj(v[i]) = (1+i)(-2i) = 2 - 2i
     assert inner(u, v) == pytest.approx(2.0 - 2.0j)
     assert inner(2j * u, v) == pytest.approx(2j * inner(u, v))
+
+
+RANK_DEFICIENT = gen_negative(GenSpec(4, (2, 2, 2), 5, "rank_deficient"))
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "classify",
+    [
+        lambda tol: classify_g_frame(RANK_DEFICIENT.lam, tol=tol),
+        lambda tol: classify_bi_g_frame(RANK_DEFICIENT, tol=tol),
+        lambda tol: classify_biframe(*lift_to_biframe(RANK_DEFICIENT), tol=tol),
+        lambda tol: _spectral_report(np.eye(2), tol, hermitian_gates_bessel=True),
+    ],
+    ids=["g_frame", "bi_g_frame", "biframe", "core"],
+)
+def test_a_bad_tol_is_refused_by_name(classify, tol):
+    # Unchecked, -1 fails the bounds check of a non-frame g-frame, calls the
+    # Hermitian pair "not Bessel", and NaN returns a report.
+    with pytest.raises(ValueError, match=f"tol must be finite and non-negative, got {tol!r}"):
+        classify(tol)
+
+
+def test_a_refused_tol_keeps_the_prepared_pair():
+    pair = BiGFrameSystem(RANK_DEFICIENT.lam, RANK_DEFICIENT.gam)
+    assert classify_bi_g_frame(pair).is_bessel
+    kept = pair._prepared
+    with pytest.raises(ValueError, match="got nan"):
+        classify_bi_g_frame(pair, tol=math.nan)
+    assert pair._prepared is kept
+    assert classify_g_frame(pair.lam, tol=0.0).tolerance == 0.0
