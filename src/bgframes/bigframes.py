@@ -12,7 +12,7 @@ positive definite; the optimal constants are the spectrum edges of ``S``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .kernel import (
     ClassifyReport,
     _spectral_report,
     inner,
-    operator_norm,
 )
 
 
@@ -110,13 +109,6 @@ class _PreparedPair:
             raise ValueError(f"side must be 'gamma' or 'lambda', got {side!r}")
         sys = self.sys
         return (sys.lam, sys.gam) if side == "gamma" else (sys.gam, sys.lam)
-
-    def classified(self) -> ClassifyReport:
-        """The report, with ``inverse_norm = ||H^-1||`` from an explicit solve on frames."""
-        if self.factor is None:
-            return self.report
-        inverse = self.factor.solve(np.eye(self.sys.dim, dtype=np.complex128))
-        return replace(self.report, inverse_norm=operator_norm(inverse))
 
     def dual(self) -> BiGFrameSystem:
         """Both dual families from one solve against ``[Lambda^H | Gamma^H]``."""
@@ -194,13 +186,12 @@ def classify_bi_g_frame(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> Classi
 
     A Hermitian deviation above ``tol`` rules out even the Bessel verdict,
     since a two-sided real inequality forces real pairing sums. Otherwise
-    the verdicts and bounds come from the spectrum edges, and
-    ``inverse_norm`` reports the operator norm of H^-1, H the Hermitian part
-    of S (computed through an explicit solve, so the classical ``<= 1/C``
-    estimate stays a genuine cross-check). ``is_riesz`` is ``None``: pair
-    reports do not compute it.
+    the verdicts and bounds come from the spectrum edges. On a bi-g-frame
+    ``inverse_norm`` is ``||H^-1|| = 1/C``, H the Hermitian part of S and C
+    the optimal lower bound, the bottom of H's spectrum. ``is_riesz`` is
+    ``None``: pair reports do not compute it.
     """
-    return _prepare(sys, tol).classified()
+    return _prepare(sys, tol).report
 
 
 def swap(sys: BiGFrameSystem) -> BiGFrameSystem:

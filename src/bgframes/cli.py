@@ -170,13 +170,13 @@ def _write_beside(args, frame_file: FrameFile, doc, field: str, suffix: str, ent
 def _cmd_check(args) -> int:
     """``check``, or with ``bounds`` only the frame verdict and bounds."""
     _, prepared, _, doc = _open(args)
+    report = prepared.report
     if args.subcommand == "bounds":
-        report = prepared.report
         doc["is_frame"] = report.is_frame
         if report.is_frame:
             doc["bounds"] = _bounds_doc(report)
     else:
-        report = _report(doc, prepared.classified())
+        _report(doc, report)
         if report.is_frame:
             doc["inverse_norm"] = report.inverse_norm
     _emit(doc)

@@ -11,6 +11,7 @@ reproducible for a fixed BLAS build.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,15 @@ _MAX_REDRAWS = 16
 _SPECTRAL_FLOOR = 0.05
 
 
+def _integer(value, name: str, error: type = ShapeMismatch) -> int:
+    """``value`` as an ``int``. Any other type raises ``error`` naming it, even an
+    integral float: ``int()`` would truncate 2.5 to 2 and go on with another instance."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Shape, seed, and flavor of a generated instance."""
@@ -42,17 +52,20 @@ class GenSpec:
     kind: str = KIND_RANDOM
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ShapeMismatch(f"dimension must be positive, got {self.dim}")
-        dims = tuple(int(m) for m in self.block_dims)
+        dim = _integer(self.dim, "dimension")
+        if dim < 1:
+            raise ShapeMismatch(f"dimension must be positive, got {dim}")
+        dims = tuple(_integer(m, "block dim") for m in self.block_dims)
         if not dims or any(m < 1 for m in dims):
             raise ShapeMismatch(f"block dims must be positive, got {dims}")
-        if not (0 <= int(self.seed) < 2**64):
+        seed = _integer(self.seed, "seed", ValueError)
+        if not (0 <= seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "block_dims", dims)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
 
 def _stream(seed: int) -> np.random.Generator:
@@ -216,11 +229,12 @@ def random_hermitian_pd(
     diagonal, so the spectrum, and hence conditioning, is controlled
     exactly. Handy as a target for :func:`gen_bi_g_frame`.
     """
+    dim = _integer(dim, "dimension")
     if dim < 1:
         raise ShapeMismatch(f"dimension must be positive, got {dim}")
-    if not (0.0 < eig_low <= eig_high):
+    if not (0.0 < eig_low <= eig_high < math.inf):
         raise ValueError(f"invalid eigenvalue range ({eig_low}, {eig_high})")
-    rng = _stream(seed)
+    rng = _stream(_integer(seed, "seed", ValueError))
     q, _ = np.linalg.qr(_complex_gaussian(rng, dim, dim))
     eigs = eig_low + (eig_high - eig_low) * rng.random(dim)
     p = (q * eigs) @ q.conj().T

@@ -6,14 +6,16 @@ This module is the only one that knows how families are laid out. A system
 stores its blocks as one read-only (sum_j m_j) x n analysis matrix, block
 j ascending, and ``blocks`` holds row views of it; a coefficient sequence
 stores one read-only flat vector in the same order, and ``parts`` holds
-views of it; a vector family stores one read-only |J| x n matrix whose row
-j is f_j, and ``vectors`` holds row views of it. Every map is one matrix
-product of these arrays, reproducible for a fixed BLAS build and thread count.
+views of it, cut on first read; a vector family stores one read-only |J| x n
+matrix whose row j is f_j, and ``vectors`` holds row views of it. Every map
+is one matrix product of these arrays, reproducible for a fixed BLAS build
+and thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -101,33 +103,35 @@ class VectorFrame:
         return self._rows.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CoefficientSequence:
-    """A block vector, one part of length m_j per block of a system."""
+    """A block vector, one part of length m_j per block of a system. It stores
+    one read-only flat vector; ``parts`` are views of it, cut on first read."""
 
-    parts: tuple
-    block_dims: tuple = field(init=False, repr=False)
-    _flat: np.ndarray = field(init=False, repr=False)
+    block_dims: tuple
+    _flat: np.ndarray
 
-    def __post_init__(self):
-        parts = tuple(as_vector(p) for p in self.parts)
+    def __init__(self, parts):
+        parts = tuple(as_vector(p) for p in parts)
         if not parts:
             raise ShapeMismatch("a coefficient sequence needs at least one part")
         self._of_rows(np.concatenate(parts)[np.newaxis], [p.shape[0] for p in parts], [self])
 
+    @cached_property
+    def parts(self) -> tuple:
+        """One read-only view of the flat vector per block."""
+        return _views(self._flat, self.block_dims)
+
     @classmethod
     def _of_rows(cls, rows: np.ndarray, block_dims, seqs=None) -> list:
-        """Wrap the rows of a finite complex ``k x sum(block_dims)`` matrix no one else writes
-        in ``seqs`` (default: new, no ``__post_init__``), viewing one cut of its columns."""
+        """Wrap the rows of a finite complex ``k x sum(block_dims)`` matrix no one else
+        writes in ``seqs`` (default: new, without ``__init__``), one row each."""
         block_dims = tuple(block_dims)
         rows.setflags(write=False)
-        offsets = list(accumulate(block_dims, initial=0))
-        columns = [rows[:, x:y] for x, y in zip(offsets, offsets[1:])]
         seqs = seqs or [object.__new__(cls) for _ in range(rows.shape[0])]
-        for seq, flat, parts in zip(seqs, rows, zip(*columns)):
+        for seq, flat in zip(seqs, rows):
             object.__setattr__(seq, "_flat", flat)
             object.__setattr__(seq, "block_dims", block_dims)
-            object.__setattr__(seq, "parts", parts)
         return seqs
 
     @classmethod

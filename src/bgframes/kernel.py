@@ -96,8 +96,9 @@ class ClassifyReport:
     ``bounds`` is present exactly when ``is_frame`` holds; verdicts satisfy
     parseval => tight => frame => bessel. ``hermitian_deviation`` refers to
     the operator the verdict was computed from. ``is_riesz`` is ``None`` on
-    pair reports, which do not compute it; ``inverse_norm`` (``||H^-1||``, H
-    the Hermitian part of S) is set only by ``classify_bi_g_frame``, on frames.
+    pair reports, which do not compute it. ``inverse_norm`` is ``||H^-1||``, H
+    the Hermitian part of the operator: ``1 / bounds.lower`` on frames, where H
+    is positive definite, and ``None`` otherwise.
     ``_edges`` holds the spectrum edges of H exactly when ``is_bessel`` holds.
     """
 
@@ -136,8 +137,9 @@ def _spectral_report(
     is_tight = is_frame and (hi - lo) <= tol * hi
     is_parseval = is_tight and abs(hi - 1.0) <= tol
     bounds = FrameBounds(lo, hi) if is_frame else None
+    inverse_norm = 1.0 / lo if is_frame else None
     return ClassifyReport(
-        True, is_frame, is_tight, is_parseval, is_riesz, bounds, dev, tol, _edges=(lo, hi)
+        True, is_frame, is_tight, is_parseval, is_riesz, bounds, dev, tol, inverse_norm, (lo, hi)
     )
 
 

@@ -3,7 +3,8 @@
 Each oracle reaches the package through its public API only, so it checks
 the library's own route instead of reusing it: the pairing sum is
 evaluated block by block, the dual probes solve with the pair operator's
-adjoint directly, not through the library's Cholesky factor, and frame
+adjoint directly, not through the library's Cholesky factor, the inverse
+norm is read from an explicit inverse, not from the spectrum, and frame
 file floats are formatted one at a time, not per array.
 """
 
@@ -20,6 +21,7 @@ from bgframes import (
     classify_bi_g_frame,
     inner,
     is_g_riesz_basis,
+    operator_norm,
     swap,
 )
 
@@ -47,6 +49,15 @@ def adjoint_identity_check(sys: BiGFrameSystem, tol: float = 1e-12) -> bool:
     lhs = bi_g_frame_operator(sys).conj().T
     rhs = bi_g_frame_operator(swap(sys))
     return bool(np.max(np.abs(lhs - rhs)) <= tol)
+
+
+def explicit_inverse_norm(sys: BiGFrameSystem) -> float:
+    """``||H^-1||``, H the Hermitian part of the pair operator, by the explicit
+    route: solve H against I, then take the largest singular value. The library
+    reports it as ``1/C`` from the bottom C of H's spectrum instead."""
+    op = bi_g_frame_operator(sys)
+    h = 0.5 * (op + op.conj().T)
+    return operator_norm(np.linalg.solve(h, np.eye(sys.dim)))
 
 
 def dual_pair_bessel_check(

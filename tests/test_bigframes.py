@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bgframes import (
+    DEFAULT_TOL,
     BiGFrameSystem,
     CoefficientSequence,
     ConstraintViolated,
@@ -21,6 +23,7 @@ from bgframes import (
     classify_biframe,
     coefficient_identity_terms,
     from_vector_biframe,
+    g_analysis,
     g_frame_operator,
     g_synthesis,
     gen_bi_g_frame,
@@ -39,6 +42,7 @@ from conftest import cholesky_breakdown_pair, gauged_identity_pair, random_compl
 from oracles import (
     adjoint_identity_check,
     dual_pair_bessel_check,
+    explicit_inverse_norm,
     pairing_sum,
     riesz_transfer_check,
 )
@@ -476,18 +480,19 @@ def test_pair_construction_validates_shapes():
 # one tolerance, read the same way by every gate
 
 
+# S = diag(1, 1e-13): a frame at tol=1e-15, below the solver's 1e-12 default.
+TINY_EDGE = BiGFrameSystem(
+    GFrameSystem(2, (np.diag([1.0, 1e-13]),)), GFrameSystem(2, (np.eye(2),))
+)
+
+
 def test_frame_gate_reads_the_callers_tol():
-    # S = diag(1, 1e-13): a frame at tol=1e-15, below the solver's 1e-12 default.
-    pair = BiGFrameSystem(
-        GFrameSystem(2, (np.diag([1.0, 1e-13]),)),
-        GFrameSystem(2, (np.eye(2),)),
-    )
-    report = classify_bi_g_frame(pair, tol=1e-15)
+    report = classify_bi_g_frame(TINY_EDGE, tol=1e-15)
     assert report.is_frame and not report.is_tight
     assert report.bounds.lower == pytest.approx(1e-13, rel=1e-12)
     assert report.bounds.upper == pytest.approx(1.0, rel=1e-12)
     assert report.inverse_norm == pytest.approx(1e13, rel=1e-9)
-    assert not classify_bi_g_frame(pair, tol=1e-12).is_frame
+    assert not classify_bi_g_frame(TINY_EDGE, tol=1e-12).is_frame
 
 
 PAIR_KINDS = ("prescribed_operator", "rank_deficient", "non_hermitian_pair")
@@ -569,6 +574,24 @@ def _assert_rel(actual, expected, rel=1e-10):
     assert np.linalg.norm(actual - expected) <= rel * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize(
+    "make,tol,expected",
+    [
+        (lambda: _prescribed_pair(7, (3, 5, 2)), DEFAULT_TOL, None),
+        (lambda: _prescribed_pair(64, (4,) * 32), DEFAULT_TOL, None),
+        (lambda: TINY_EDGE, 1e-15, 1e13),
+    ],
+    ids=["7;3,5,2", "64;32x4", "diag(1,1e-13)"],
+)
+def test_inverse_norm_matches_the_explicit_inverse(make, tol, expected):
+    """``inverse_norm`` is read as 1/C from the spectrum; the oracle inverts H."""
+    pair = make()
+    explicit = explicit_inverse_norm(pair)
+    assert classify_bi_g_frame(pair, tol).inverse_norm == pytest.approx(explicit, rel=1e-12)
+    if expected is not None:
+        assert explicit == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize("dim,block_dims", [*PRESCRIBED_SHAPES[1:], (7, (3, 5, 2))])
 def test_canonical_pair_is_a_pair_with_inverse_bounds(dim, block_dims):
     """The canonical dual is itself a bi-g-frame, with operator S^-1: its
@@ -642,6 +665,51 @@ def test_null_basis_matches_per_row_from_flat(dim, block_dims):
         np.testing.assert_allclose(b.T @ b.conj(), ref.T @ ref.conj(), atol=1e-12)
 
 
+PART_SOURCES = {
+    "constructor": lambda pair, f: [
+        CoefficientSequence(tuple(np.arange(m) + 1j for m in pair.block_dims))
+    ],
+    "from_flat": lambda pair, f: [
+        CoefficientSequence.from_flat(np.arange(sum(pair.block_dims)), pair.block_dims)
+    ],
+    "g_analysis": lambda pair, f: [g_analysis(pair.lam, f)],
+    "null_basis": lambda pair, f: solve_synthesis_coefficients(pair, f, "gamma")[1],
+}
+
+
+@pytest.mark.parametrize("source", PART_SOURCES)
+def test_parts_are_cut_on_first_read(source):
+    pair = _prescribed_pair(7, (3, 5, 2))
+    f = random_complex_vector(np.random.default_rng(7), 7)
+    sequences = PART_SOURCES[source](pair, f)
+    assert sequences
+    for seq in sequences:
+        assert "parts" not in vars(seq)
+        parts, flat = seq.parts, seq.to_flat()
+        assert vars(seq)["parts"] is parts and seq.parts is parts
+        assert tuple(p.shape[0] for p in parts) == seq.block_dims == (3, 5, 2)
+        assert all(not p.flags.writeable and np.shares_memory(p, flat) for p in parts)
+        np.testing.assert_array_equal(np.concatenate(parts), flat)
+
+
+def test_a_kept_null_basis_holds_its_rows_alone():
+    # With a view per block and row built up front, a basis took about 3x its rows.
+    pair = _prescribed_pair(64, (4,) * 32)
+    f = random_complex_vector(np.random.default_rng(64), 64)
+    classify_bi_g_frame(pair)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, basis = solve_synthesis_coefficients(pair, f, "gamma")
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = sum(g.to_flat().nbytes for g in basis)
+    assert len(basis) == 64 and rows == 64 * 128 * 16
+    assert kept < 1.5 * rows
+    assert not any("parts" in vars(g) for g in basis)
+
+
 def test_null_basis_of_a_gauged_identity_pair():
     # S = I, and each stacked family has rank 2 although the lambda side has
     # a singular value of 1e-10: each kernel is 2-dimensional, and every
@@ -694,6 +762,10 @@ def test_one_factorization_per_pair_call(lapack_calls):
         solve_synthesis_coefficients(pair, f, side)
     coefficient_identity_terms(pair, f, particular, "gamma")
     assert (lapack_calls["cholesky"], lapack_calls["eigvalsh"], lapack_calls["qr"]) == (1, 1, 2)
+    assert lapack_calls["svd"] == 0
+    lapack_calls.clear()
+    classify_bi_g_frame(pair)
+    assert sum(lapack_calls.values()) == 0
 
 
 def test_no_factorization_for_non_frames(lapack_calls):

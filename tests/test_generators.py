@@ -58,6 +58,42 @@ def test_gen_spec_validation():
         gen_g_frame(GenSpec(2, (1, 1), seed=0, kind="rank_deficient"))
 
 
+@pytest.mark.parametrize(
+    "make,error,name",
+    [
+        (lambda: GenSpec(3, (2, 2), 1.7), ValueError, "seed must be an integer, got 1.7"),
+        (lambda: GenSpec(3, (2.5, 2), 1), ShapeMismatch, "block dim must be an integer, got 2.5"),
+        (lambda: GenSpec(3.5, (2, 2), 1), ShapeMismatch, "dimension must be an integer, got 3.5"),
+        (lambda: GenSpec(3.0, (2, 2), 1), ShapeMismatch, "dimension must be an integer, got 3.0"),
+        (lambda: random_hermitian_pd(3, seed=1.7), ValueError, "seed must be an integer"),
+        (lambda: random_hermitian_pd(3.5, seed=1), ShapeMismatch, "dimension must be an integer"),
+        (
+            lambda: random_hermitian_pd(3, seed=1, eig_low=0.5, eig_high=float("inf")),
+            ValueError,
+            r"invalid eigenvalue range \(0.5, inf\)",
+        ),
+        (
+            lambda: random_hermitian_pd(3, seed=1, eig_low=float("nan")),
+            ValueError,
+            r"invalid eigenvalue range \(nan, 2.0\)",
+        ),
+    ],
+    ids=["spec-seed", "spec-block-dim", "spec-dim", "spec-float-dim",
+         "pd-seed", "pd-dim", "pd-inf-range", "pd-nan-range"],
+)
+def test_generators_refuse_non_integral_and_non_finite_inputs(make, error, name):
+    # int() would truncate each of these to another valid instance, and an
+    # infinite eigenvalue bound would fill the matrix with NaN.
+    with pytest.raises(error, match=name):
+        make()
+
+
+def test_gen_spec_keeps_numpy_integers_as_ints():
+    spec = GenSpec(np.int64(3), (np.int32(2), 2), np.uint64(5))
+    assert spec == GenSpec(3, (2, 2), 5)
+    assert all(type(v) is int for v in (spec.dim, *spec.block_dims, spec.seed))
+
+
 def test_prescribed_operator_is_hit_exactly():
     target = random_hermitian_pd(5, seed=11)
     pair = gen_bi_g_frame(GenSpec(5, (2, 2, 3), seed=99, kind="prescribed_operator"), target)

@@ -19,6 +19,10 @@ from bgframes import (
     check_controlled_duality,
     check_duality,
     classify_bi_g_frame,
+    classify_biframe,
+    classify_controlled,
+    classify_frame,
+    classify_g_frame,
     is_g_riesz_basis,
     is_riesz_basis,
 )
@@ -71,6 +75,39 @@ def test_pair_reports_leave_riesz_unset(instance_a):
         canonical_pair(BiGFrameSystem(shift, GFrameSystem(2, (np.eye(2),))))
     assert isinstance(exc.value.report, ClassifyReport)
     assert exc.value.report.is_riesz is None and exc.value.report.inverse_norm is None
+
+
+FRAME = VectorFrame(2, (np.array([1.0, 0.0]), np.array([0.5, 3.0]), np.array([1.0, 1.0j])))
+LINE = VectorFrame(2, (np.array([1.0, 0.0]), np.array([2.0, 0.0])))
+G_FRAME = GFrameSystem(2, (np.diag([1.0, 3.0]), np.array([[1.0, 1.0j]])))
+G_LINE = GFrameSystem(2, (np.ones((2, 2)),))
+
+
+@pytest.mark.parametrize(
+    "classify,frame,non_frame",
+    [
+        (classify_frame, (FRAME,), (LINE,)),
+        (classify_g_frame, (G_FRAME,), (G_LINE,)),
+        (
+            classify_controlled,
+            (ControlledSystem(FRAME, 2.5 * np.eye(2)),),
+            (ControlledSystem(LINE, np.eye(2)),),
+        ),
+        (classify_biframe, (FRAME, FRAME), (LINE, LINE)),
+        (
+            classify_bi_g_frame,
+            (BiGFrameSystem(G_FRAME, G_FRAME),),
+            (BiGFrameSystem(G_LINE, G_LINE),),
+        ),
+    ],
+    ids=["frame", "g_frame", "controlled", "biframe", "bi_g_frame"],
+)
+def test_inverse_norm_is_one_over_the_lower_bound(classify, frame, non_frame):
+    report = classify(*frame)
+    assert report.is_frame and report.inverse_norm == 1.0 / report.bounds.lower
+    assert report.bounds.lower != 1.0
+    report = classify(*non_frame)
+    assert report.is_bessel and not report.is_frame and report.inverse_norm is None
 
 
 def test_public_predicates_return_bool():
