@@ -121,16 +121,15 @@ class _PreparedPair:
         )
 
     def reconstruct(self, vectors, variant: int) -> list:
-        """Each of ``vectors`` rebuilt; variant 2 solves against ``Gamma^H`` once."""
+        """Each of ``vectors``, the columns of V, rebuilt with one solve: ``Gamma^H Lambda
+        H^-1 V`` in variant 1, ``H^-1 Gamma^H Lambda V`` in variant 2 (no dual formed)."""
         if variant not in (1, 2):
             raise ValueError(f"variant must be 1 or 2, got {variant!r}")
-        vs = [_check_vector(self.sys, f) for f in vectors]
+        v = np.column_stack([_check_vector(self.sys, f) for f in vectors])
         a_lam, a_gam = stacked_analysis_matrix(self.sys.lam), stacked_analysis_matrix(self.sys.gam)
         if variant == 1:
-            return [a_gam.conj().T @ (a_lam @ self._gated().solve(v)) for v in vs]
-        # (Gamma_j (S*)^-1)* = (S*)^-1-solve applied to Gamma_j*.
-        dual_synthesis = self._gated().solve(a_gam.conj().T)
-        return [dual_synthesis @ (a_lam @ v) for v in vs]
+            return list((a_gam.conj().T @ (a_lam @ self._gated().solve(v))).T)
+        return list(self._gated().solve(a_gam.conj().T @ (a_lam @ v)).T)
 
     def particular(self, f, side: str) -> CoefficientSequence:
         """The dual-analysis coefficients of ``f`` on ``side``."""
@@ -217,9 +216,9 @@ def reconstruct(sys: BiGFrameSystem, f, variant: int, tol: float = DEFAULT_TOL) 
 
     Variant 1 evaluates ``sum_j Gamma_j* Lambda_j S^-1 f``; variant 2
     evaluates ``sum_j (Gamma_j (S*)^-1)* Lambda_j f``. Both go through the
-    analysis coefficients, not collapsed to ``S S^-1 f``. The inverse is
-    applied through one Cholesky factor of the Hermitian part of S: to
-    ``f`` in variant 1, and to all of ``Gamma^H`` in one solve in variant 2.
+    analysis coefficients, not collapsed to ``S S^-1 f``. The pair's kept ``H^-1``,
+    H the Hermitian part of S, is applied once: to ``f`` in variant 1, and to
+    ``Gamma^H Lambda f`` in variant 2, as ``(Gamma_j (S*)^-1)* = H^-1 Gamma_j*``.
     """
     return _prepare(sys, tol).reconstruct([f], variant)[0]
 

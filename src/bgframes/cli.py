@@ -207,15 +207,12 @@ def _cmd_reconstruct(args) -> int:
     doc["variant"] = args.variant
     if not prepared.report.is_frame:
         return _negative(doc, prepared.report)
-    residuals = []
-    for vec, rebuilt in zip(vectors, prepared.reconstruct(vectors, args.variant)):
-        scale = float(np.linalg.norm(vec))
-        residual = float(np.linalg.norm(rebuilt - vec))
-        residuals.append(residual / scale if scale > 0 else residual)
+    rebuilt = prepared.reconstruct(vectors, args.variant)
+    # Relative to each vector's norm; a zero vector's residual is absolute.
+    residuals = [float(np.linalg.norm(r - v)) / (float(np.linalg.norm(v)) or 1.0)
+                 for r, v in zip(rebuilt, vectors)]
     ok = all(r <= doc["tolerance"] for r in residuals)
-    doc["residuals"] = residuals
-    doc["max_residual"] = max(residuals)
-    doc["ok"] = ok
+    doc.update(residuals=residuals, max_residual=max(residuals), ok=ok)
     _emit(doc)
     return 0 if ok else 3
 

@@ -42,6 +42,13 @@ def _integer(value, name: str, error: type = ShapeMismatch) -> int:
         raise error(f"{name} must be an integer, got {value!r}") from None
 
 
+def _seed(value) -> int:
+    seed = _integer(value, "seed", ValueError)
+    if not (0 <= seed < 2**64):
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Shape, seed, and flavor of a generated instance."""
@@ -58,9 +65,7 @@ class GenSpec:
         dims = tuple(_integer(m, "block dim") for m in self.block_dims)
         if not dims or any(m < 1 for m in dims):
             raise ShapeMismatch(f"block dims must be positive, got {dims}")
-        seed = _integer(self.seed, "seed", ValueError)
-        if not (0 <= seed < 2**64):
-            raise ValueError("seed must fit in 64 unsigned bits")
+        seed = _seed(self.seed)
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
         object.__setattr__(self, "dim", dim)
@@ -234,7 +239,7 @@ def random_hermitian_pd(
         raise ShapeMismatch(f"dimension must be positive, got {dim}")
     if not (0.0 < eig_low <= eig_high < math.inf):
         raise ValueError(f"invalid eigenvalue range ({eig_low}, {eig_high})")
-    rng = _stream(_integer(seed, "seed", ValueError))
+    rng = _stream(_seed(seed))
     q, _ = np.linalg.qr(_complex_gaussian(rng, dim, dim))
     eigs = eig_low + (eig_high - eig_low) * rng.random(dim)
     p = (q * eigs) @ q.conj().T

@@ -134,11 +134,6 @@ class CoefficientSequence:
             object.__setattr__(seq, "block_dims", block_dims)
         return seqs
 
-    @classmethod
-    def _of_flat(cls, flat: np.ndarray, block_dims) -> "CoefficientSequence":
-        """:meth:`_of_rows` for one vector of length ``sum(block_dims)``."""
-        return cls._of_rows(flat[np.newaxis], block_dims)[0]
-
     def norm_sq(self) -> float:
         """``sum_j ||c_j||^2``."""
         return float(np.vdot(self._flat, self._flat).real)
@@ -158,7 +153,7 @@ class CoefficientSequence:
             )
         if any(m < 1 for m in block_dims):
             raise ShapeMismatch(f"block dims must be positive, got {tuple(block_dims)}")
-        return cls._of_flat(flat, block_dims)
+        return cls._of_rows(flat[np.newaxis], block_dims)[0]
 
 
 def _check_vector(sys: GFrameSystem, f) -> np.ndarray:
@@ -180,7 +175,8 @@ def g_synthesis(sys: GFrameSystem, c: CoefficientSequence) -> np.ndarray:
 def g_analysis(sys: GFrameSystem, f) -> CoefficientSequence:
     """``{Lambda_j f}_j``, the adjoint of synthesis."""
     v = _check_vector(sys, f)
-    return CoefficientSequence._of_flat(stacked_analysis_matrix(sys) @ v, sys.block_dims)
+    flat = stacked_analysis_matrix(sys) @ v
+    return CoefficientSequence._of_rows(flat[np.newaxis], sys.block_dims)[0]
 
 
 def g_frame_operator(sys: GFrameSystem) -> np.ndarray:

@@ -4,7 +4,7 @@ classification core, whose report is the positive-definite gate of every factor.
 Everything downstream (frame layers, generators, CLI) goes through this
 module for its numerics. All functions are pure; inputs are validated and
 coerced to finite ``complex128`` arrays once, here. NumPy is the only
-dependency: PD solves use ``np.linalg.cholesky`` and its triangular inverse.
+dependency: a PD factor keeps ``H^-1`` from ``np.linalg.cholesky`` and ``inv``.
 """
 
 from __future__ import annotations
@@ -65,10 +65,13 @@ def hermitian_deviation(m) -> float:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise NotSquare(f"deviation needs a square matrix, got {a.shape}")
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
+    peak = float(np.maximum(np.abs(a.real), np.abs(a.imag)).max())
+    if peak == 0.0:
         return 0.0
-    return float(np.linalg.norm(a - a.conj().T) / norm)
+    # An exact power-of-two scale keeps the norms' squares from underflow and overflow.
+    e = -np.frexp(peak)[1]
+    a = np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e)
+    return float(np.linalg.norm(a - a.conj().T) / np.linalg.norm(a))
 
 
 def operator_norm(m) -> float:
@@ -154,11 +157,11 @@ def _require_definite(report: ClassifyReport) -> None:
 
 @dataclass(frozen=True, eq=False)
 class CholeskyFactor:
-    """``L^-1`` for the Cholesky factor of an operator's Hermitian PD part ``h = L L*``;
-    one factor, built by :meth:`of`, serves any number of solves."""
+    """``H^-1`` for an operator's Hermitian PD part ``h = L L*``, formed once by
+    :meth:`of` as ``L^-* L^-1``; it serves any number of solves."""
 
     h: np.ndarray
-    l_inv: np.ndarray
+    h_inv: np.ndarray
 
     @classmethod
     def of(cls, op: np.ndarray, report: ClassifyReport) -> "CholeskyFactor":
@@ -167,24 +170,23 @@ class CholeskyFactor:
         ``numpy.linalg.LinAlgError`` when the factorization itself fails."""
         _require_definite(report)
         h = 0.5 * (op + op.conj().T)
-        return cls(h, np.linalg.inv(np.linalg.cholesky(h)))
+        l_inv = np.linalg.inv(np.linalg.cholesky(h))
+        return cls(h, l_inv.conj().T @ l_inv)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``h^-1 b = L^-* (L^-1 b)`` for a vector or a matrix of right-hand sides."""
-        l_inv, l_inv_h = self.l_inv, self.l_inv.conj().T
-        x = l_inv_h @ (l_inv @ b)
-        # One refinement pass knocks the residual down to ~eps * ||B||.
-        return x + l_inv_h @ (l_inv @ (b - self.h @ x))
+        """``h^-1 b`` for a vector or a matrix of right-hand sides: one product with
+        the kept inverse, and one refinement pass to a residual of ~eps * ||B||."""
+        x = self.h_inv @ b
+        return x + self.h_inv @ (b - self.h @ x)
 
 
 def solve_pd(m, b) -> np.ndarray:
     """Solve ``M X = B`` for Hermitian positive definite ``M``.
 
     ``b`` may be a vector or a matrix of right-hand sides; the result has
-    the same number of dimensions. Uses a Cholesky factorization of the
-    Hermitian part plus one step of iterative refinement, which keeps
-    ``||M X - B||_F`` at roundoff level for the conditioning this package
-    works with.
+    the same number of dimensions. A :class:`CholeskyFactor` of the Hermitian part
+    applies its ``H^-1`` with one refinement pass, which keeps ``||M X - B||_F`` at
+    roundoff level for the conditioning this package works with.
 
     Raises ``NotPositiveDefinite`` (with the offending smallest eigenvalue)
     when ``lambda_min <= 1e-12 * lambda_max`` (``_PD_RATIO``), whatever the caller's tol.

@@ -49,6 +49,13 @@ def write_pair_file(path, pair: BiGFrameSystem, vectors=None) -> None:
     )
 
 
+def rescaled_pair(pair: BiGFrameSystem, scale: float) -> BiGFrameSystem:
+    """Both families of ``pair`` multiplied by ``scale``."""
+    return BiGFrameSystem(
+        *(GFrameSystem(pair.dim, tuple(scale * b for b in f.blocks)) for f in (pair.lam, pair.gam))
+    )
+
+
 def cholesky_breakdown_pair() -> BiGFrameSystem:
     """Lambda = Q diag(eps, 1, ..., 1) Q* on C^6 with |eps| <= 3e-17, Gamma = I.
 

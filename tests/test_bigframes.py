@@ -38,7 +38,13 @@ from bgframes import (
     swap,
 )
 from bgframes.bigframes import _prepare
-from conftest import cholesky_breakdown_pair, gauged_identity_pair, random_complex_vector
+from bgframes.kernel import CholeskyFactor
+from conftest import (
+    cholesky_breakdown_pair,
+    gauged_identity_pair,
+    random_complex_vector,
+    rescaled_pair,
+)
 from oracles import (
     adjoint_identity_check,
     dual_pair_bessel_check,
@@ -630,6 +636,71 @@ def test_shared_factor_matches_per_block_solves(dim, block_dims):
         ref_lhs, ref_rhs = _reference_identity_terms(lam_t, gam_t, f, g, side)
         _assert_rel(lhs, ref_lhs)
         _assert_rel(rhs, ref_rhs)
+
+
+@pytest.mark.parametrize("variant", [1, 2])
+def test_reconstruct_of_several_vectors_matches_the_reference(variant):
+    pair = _prescribed_pair(16, (4,) * 8)
+    rng = np.random.default_rng(variant)
+    vectors = [random_complex_vector(rng, 16) for _ in range(3)]
+    rebuilt = _prepare(pair, DEFAULT_TOL).reconstruct(vectors, variant)
+    assert len(rebuilt) == len(vectors)
+    for actual, f in zip(rebuilt, vectors):
+        _assert_rel(actual, _reference_reconstruct(pair, f, variant))
+        _assert_rel(actual, f)
+
+
+@pytest.fixture
+def solve_shapes(monkeypatch) -> list:
+    """The shape of every right-hand side handed to ``CholeskyFactor.solve``."""
+    shapes = []
+    solve = CholeskyFactor.solve
+
+    def recording(self, b):
+        shapes.append(np.shape(b))
+        return solve(self, b)
+
+    monkeypatch.setattr(CholeskyFactor, "solve", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("variant", [1, 2])
+def test_reconstruct_solves_once_on_the_vectors(solve_shapes, variant, count):
+    """One solve with one column per vector, never one against a whole family
+    (``sum m_j = 32`` columns), whichever variant."""
+    pair = _prescribed_pair(16, (4,) * 8)
+    prepared = _prepare(pair, DEFAULT_TOL)
+    rng = np.random.default_rng(count)
+    vectors = [random_complex_vector(rng, 16) for _ in range(count)]
+    solve_shapes.clear()
+    prepared.reconstruct(vectors, variant)
+    one_column = [(16, count)] + ([(16,)] if count == 1 else [])
+    assert len(solve_shapes) == 1 and solve_shapes[0] in one_column
+    assert all(sum(pair.block_dims) not in shape[1:] for shape in solve_shapes)
+    solve_shapes.clear()
+    reconstruct(pair, vectors[0], variant)
+    assert len(solve_shapes) == 1 and solve_shapes[0] in [(16, 1), (16,)]
+
+
+def test_a_factor_keeps_two_square_arrays():
+    pair = _prescribed_pair(16, (4,) * 8)
+    factor = _prepare(pair, DEFAULT_TOL).factor
+    kept = [v for v in vars(factor).values() if isinstance(v, np.ndarray)]
+    assert len(vars(factor)) == len(kept) == 2
+    assert all(a.shape == (16, 16) for a in kept)
+
+
+@pytest.mark.parametrize("scale", [2.0**-300, 2.0**300], ids=["2^-300", "2^300"])
+def test_non_hermitian_pair_stays_non_hermitian_at_extreme_scales(scale):
+    """Scaled by 2^-300 the operator's squared entries underflow to 0, and by
+    2^300 they overflow; the deviation must still read sqrt(2), not 0 or NaN."""
+    pair = gen_negative(GenSpec(7, (3, 5, 2), 4, kind="non_hermitian_pair"))
+    scaled = rescaled_pair(pair, scale)
+    before, after = classify_bi_g_frame(pair), classify_bi_g_frame(scaled)
+    assert not after.is_bessel and not after.is_frame and after.bounds is None
+    assert before.hermitian_deviation == pytest.approx(np.sqrt(2.0), rel=1e-9)
+    assert after.hermitian_deviation == pytest.approx(before.hermitian_deviation, rel=1e-12)
 
 
 @pytest.mark.parametrize("dim,block_dims", PRESCRIBED_SHAPES)

@@ -29,6 +29,7 @@ from conftest import (
     gauged_identity_pair,
     package_env,
     random_complex_vector,
+    rescaled_pair,
     write_pair_file,
 )
 
@@ -446,7 +447,7 @@ def test_identity_computes_each_null_basis_once(
     assert lapack_calls["svd"] == 0
 
 
-@pytest.mark.parametrize("variant, solves", [("1", 2), ("2", 1)])
+@pytest.mark.parametrize("variant, solves", [("1", 1), ("2", 1)])
 def test_reconstruct_variant_2_solves_once_per_command(
     capsys, monkeypatch, prescribed_file, variant, solves
 ):
@@ -600,6 +601,40 @@ def test_gen_negative_kind_checks_false(capsys, tmp_path):
     assert code == 0
     code, _, _ = run_cli(capsys, "check", out_path, "--pair", "L,G")
     assert code == 1
+
+
+@pytest.mark.parametrize("scale", [2.0**-300, 2.0**300], ids=["2^-300", "2^300"])
+def test_check_refuses_a_rescaled_non_hermitian_pair(capsys, tmp_path, scale):
+    pair = gen_negative(GenSpec(7, (3, 5, 2), 4, kind="non_hermitian_pair"))
+    scaled = rescaled_pair(pair, scale)
+    path = tmp_path / "scaled.json"
+    write_pair_file(path, scaled)
+    code, out, _ = run_cli(capsys, "check", str(path), "--pair", "L,G")
+    assert code == 1
+    doc = json.loads(out)
+    assert not doc["verdicts"]["is_bessel"] and "bounds" not in doc
+    assert doc["hermitian_deviation"] == pytest.approx(np.sqrt(2.0), rel=1e-9)
+
+
+def test_check_reads_a_rescaled_prescribed_pair_as_unscaled(capsys, tmp_path):
+    # At 2^300 the squared operator entries overflow: the deviation read NaN
+    # and the report could not be written (exit 2).
+    pair = gen_bi_g_frame(
+        GenSpec(7, (3, 5, 2), 4, "prescribed_operator"), random_hermitian_pd(7, seed=9)
+    )
+    scale = 2.0**300
+    scaled = rescaled_pair(pair, scale)
+    docs = []
+    for name, p in (("plain", pair), ("scaled", scaled)):
+        write_pair_file(tmp_path / f"{name}.json", p)
+        code, out, _ = run_cli(capsys, "check", str(tmp_path / f"{name}.json"), "--pair", "L,G")
+        assert code == 0
+        docs.append(json.loads(out))
+    plain, rescaled = docs
+    assert rescaled["verdicts"] == plain["verdicts"]
+    assert rescaled["hermitian_deviation"] == pytest.approx(plain["hermitian_deviation"], abs=1e-15)
+    for edge in ("lower", "upper"):
+        assert rescaled["bounds"][edge] == pytest.approx(scale**2 * plain["bounds"][edge], rel=1e-12)
 
 
 def test_gen_is_deterministic(capsys, tmp_path):

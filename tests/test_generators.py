@@ -88,6 +88,15 @@ def test_generators_refuse_non_integral_and_non_finite_inputs(make, error, name)
         make()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**100])
+def test_both_generators_refuse_the_same_seeds(seed):
+    message = rf"seed must be in \[0, 2\*\*64\), got {seed}"
+    with pytest.raises(ValueError, match=message):
+        GenSpec(3, (2, 2), seed)
+    with pytest.raises(ValueError, match=message):
+        random_hermitian_pd(3, seed=seed)
+
+
 def test_gen_spec_keeps_numpy_integers_as_ints():
     spec = GenSpec(np.int64(3), (np.int32(2), 2), np.uint64(5))
     assert spec == GenSpec(3, (2, 2), 5)

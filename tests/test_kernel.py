@@ -103,9 +103,12 @@ def test_deviation_vanishes_after_symmetrization(m):
 
 
 def test_deviation_is_scale_invariant():
+    # Unscaled, the Frobenius norms would square the entries: at 1e-170 both
+    # underflow to 0 (deviation 0), at 1e170 both overflow (deviation NaN).
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    for c in (1e-12, 1e-10, 1.0, 1e12):
+    for c in (1e-12, 1e-10, 1.0, 1e12, 1e-170, 1e170, 5e-324, 1e308 * (1 + 1j)):
         assert hermitian_deviation(c * m) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert hermitian_deviation(np.real(c) * np.diag([1.0, 0.5])) == 0.0
     assert hermitian_deviation(np.zeros((3, 3))) == 0.0
 
 
@@ -203,7 +206,7 @@ def test_cholesky_solve_agrees_with_dense_solve(n, cond):
     h = (q * w) @ q.conj().T
     h = 0.5 * (h + h.conj().T)
     factor = CholeskyFactor.of(h, _spectral_report(h, 1e-12, hermitian_gates_bessel=False))
-    for shape in ((n,), (n, 3)):
+    for shape in ((n,), (n, 3), (n, 4 * n)):
         b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         x = factor.solve(b)
         ref = np.linalg.solve(h, b)
