@@ -111,25 +111,24 @@ class _PreparedPair:
         return (sys.lam, sys.gam) if side == "gamma" else (sys.gam, sys.lam)
 
     def dual(self) -> BiGFrameSystem:
-        """Both dual families from one solve against ``[Lambda^H | Gamma^H]``."""
-        sys = self.sys
-        stacked = np.vstack((stacked_analysis_matrix(sys.lam), stacked_analysis_matrix(sys.gam)))
-        lam, gam = np.split(self._gated().solve(stacked.conj().T).conj().T, 2)
+        """``Lambda H^-1`` and ``Gamma H^-1``: one right solve of each analysis matrix, uncopied."""
+        sys, factor = self.sys, self._gated()
+        lam, gam = (factor.solve_rows(stacked_analysis_matrix(s)) for s in (sys.lam, sys.gam))
         return BiGFrameSystem(
             GFrameSystem._of_stacked(sys.dim, lam, sys.block_dims),
             GFrameSystem._of_stacked(sys.dim, gam, sys.block_dims),
         )
 
     def reconstruct(self, vectors, variant: int) -> list:
-        """Each of ``vectors``, the columns of V, rebuilt with one solve: ``Gamma^H Lambda
-        H^-1 V`` in variant 1, ``H^-1 Gamma^H Lambda V`` in variant 2 (no dual formed)."""
+        """The columns of V, ``vectors``, rebuilt with one solve as ``Gamma^H Lambda H^-1 V``
+        (variant 1) or ``H^-1 Gamma^H Lambda V`` (2); ``Gamma^H Y`` is ``conj(Y^H Gamma)``."""
         if variant not in (1, 2):
             raise ValueError(f"variant must be 1 or 2, got {variant!r}")
         v = np.column_stack([_check_vector(self.sys, f) for f in vectors])
         a_lam, a_gam = stacked_analysis_matrix(self.sys.lam), stacked_analysis_matrix(self.sys.gam)
-        if variant == 1:
-            return list((a_gam.conj().T @ (a_lam @ self._gated().solve(v))).T)
-        return list(self._gated().solve(a_gam.conj().T @ (a_lam @ v)).T)
+        y = a_lam @ (self._gated().solve(v) if variant == 1 else v)
+        rows = np.conj(y.conj().T @ a_gam)
+        return list(rows if variant == 1 else self._gated().solve(rows.T).T)
 
     def particular(self, f, side: str) -> CoefficientSequence:
         """The dual-analysis coefficients of ``f`` on ``side``."""
@@ -202,9 +201,9 @@ def canonical_pair(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> BiGFrameSys
     """The pair of blocks ``Lambda_j S^-1`` and ``Gamma_j (S*)^-1``.
 
     Both reconstruction identities hold against the source pair. S and S*
-    share their Hermitian part H, so every block of both families comes
-    from one Cholesky factor of H and one multi-right-hand-side solve, and
-    the dual pair's own operator is ``H^-1 S H^-1``: ``S^-1`` for a Hermitian
+    share their Hermitian part H, so both families come from one Cholesky
+    factor of H, each as one right solve ``A H^-1`` of its analysis matrix A,
+    and the dual pair's own operator is ``H^-1 S H^-1``: ``S^-1`` for a Hermitian
     S. Raises ``NotBiGFrame`` when the pair operator is not Hermitian positive
     definite within ``tol``.
     """

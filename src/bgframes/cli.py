@@ -237,12 +237,9 @@ def _cmd_gen(args) -> int:
     spec = GenSpec(dim=args.dim, block_dims=dims, seed=args.seed, kind=kind)
     if kind == KIND_RANDOM:
         systems = {"L": gen_g_frame(spec)}
-    elif kind == KIND_PRESCRIBED:
-        target = load_matrix(args.target_op)
-        pair = gen_bi_g_frame(spec, target)
-        systems = {"L": pair.lam, "G": pair.gam}
     else:
-        pair = gen_negative(spec)
+        pair = (gen_bi_g_frame(spec, load_matrix(args.target_op)) if kind == KIND_PRESCRIBED
+                else gen_negative(spec))
         systems = {"L": pair.lam, "G": pair.gam}
     basis_vector = np.zeros(args.dim, dtype=np.complex128)
     basis_vector[0] = 1.0

@@ -45,7 +45,7 @@ def _float_tokens(arr: np.ndarray) -> list:
     """The JSON text of each float of a 1-d float64 array."""
     if not np.isfinite(arr).all():
         raise ValueError("cannot serialize non-finite float")
-    tokens = [format(x, ".17g") for x in arr.tolist()]
+    tokens = ("%.17g\n" * arr.size % tuple(arr.tolist())).split()
     for i in np.flatnonzero((arr == 0) & np.signbit(arr)).tolist():
         tokens[i] = "-0.0"  # "-0" would load as the integer 0
     return tokens

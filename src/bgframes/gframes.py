@@ -164,12 +164,12 @@ def _check_vector(sys: GFrameSystem, f) -> np.ndarray:
 
 
 def g_synthesis(sys: GFrameSystem, c: CoefficientSequence) -> np.ndarray:
-    """``sum_j Lambda_j* c_j`` in C^n."""
+    """``sum_j Lambda_j* c_j`` in C^n, as ``conj(conj(c) Lambda)``: no conjugated family."""
     if c.block_dims != sys.block_dims:
         raise ShapeMismatch(
             f"coefficient shape {c.block_dims} does not match system {sys.block_dims}"
         )
-    return stacked_analysis_matrix(sys).conj().T @ c.to_flat()
+    return np.conj(np.conj(c.to_flat()) @ stacked_analysis_matrix(sys))
 
 
 def g_analysis(sys: GFrameSystem, f) -> CoefficientSequence:

@@ -1,10 +1,10 @@
 """Dense complex-matrix primitives: Hermitian deviation, PD solves, and the one
 classification core, whose report is the positive-definite gate of every factor.
 
-Everything downstream (frame layers, generators, CLI) goes through this
-module for its numerics. All functions are pure; inputs are validated and
-coerced to finite ``complex128`` arrays once, here. NumPy is the only
-dependency: a PD factor keeps ``H^-1`` from ``np.linalg.cholesky`` and ``inv``.
+Everything downstream (frame layers, generators, CLI) goes through this module
+for its numerics. All functions are pure; inputs are validated and coerced to
+finite ``complex128`` arrays once, here. NumPy is the only dependency: a PD
+factor keeps ``H^-1`` (``cholesky``, ``inv``) and applies it from either side.
 """
 
 from __future__ import annotations
@@ -167,17 +167,29 @@ class CholeskyFactor:
     def of(cls, op: np.ndarray, report: ClassifyReport) -> "CholeskyFactor":
         """Factor the Hermitian part of ``op``, whose Bessel ``report`` must have
         passed the frame gate (else ``NotPositiveDefinite``); raises
-        ``numpy.linalg.LinAlgError`` when the factorization itself fails."""
+        ``numpy.linalg.LinAlgError`` when the factorization fails or ``H^-1`` overflows."""
         _require_definite(report)
         h = 0.5 * (op + op.conj().T)
-        l_inv = np.linalg.inv(np.linalg.cholesky(h))
-        return cls(h, l_inv.conj().T @ l_inv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            l_inv = np.linalg.inv(np.linalg.cholesky(h))
+            h_inv = l_inv.conj().T @ l_inv
+        if np.isfinite(h_inv).all():
+            return cls(h, h_inv)
+        raise np.linalg.LinAlgError(f"H^-1 overflows: smallest eigenvalue {report._edges[0]:.6e}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``h^-1 b`` for a vector or a matrix of right-hand sides: one product with
         the kept inverse, and one refinement pass to a residual of ~eps * ||B||."""
         x = self.h_inv @ b
         return x + self.h_inv @ (b - self.h @ x)
+
+    def solve_rows(self, a: np.ndarray) -> np.ndarray:
+        """``a h^-1`` for a matrix of rows, refined like :meth:`solve`; three arrays its size."""
+        x = a @ self.h_inv
+        r = x @ self.h
+        y = np.subtract(a, r, out=r) @ self.h_inv
+        y += x
+        return y
 
 
 def solve_pd(m, b) -> np.ndarray:

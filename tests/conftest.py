@@ -72,6 +72,14 @@ def cholesky_breakdown_pair() -> BiGFrameSystem:
     return BiGFrameSystem(GFrameSystem(6, (lam,)), GFrameSystem(6, (np.eye(6),)))
 
 
+def subnormal_edge_pair() -> BiGFrameSystem:
+    """Lambda = diag(1, 1e-310), Gamma = I on C^2: a frame at tol 0 whose lower
+    bound is subnormal, so ``||H^-1|| = 1e310`` lies beyond the double range."""
+    return BiGFrameSystem(
+        GFrameSystem(2, (np.diag([1.0, 1e-310]),)), GFrameSystem(2, (np.eye(2),))
+    )
+
+
 def gauged_identity_pair() -> BiGFrameSystem:
     """Lambda = (diag(1, 1e-10), 0), Gamma = (diag(1, 1e10), I) on C^2.
 

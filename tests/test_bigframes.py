@@ -691,6 +691,81 @@ def test_a_factor_keeps_two_square_arrays():
     assert all(a.shape == (16, 16) for a in kept)
 
 
+def _stacked_dual(pair, tol=DEFAULT_TOL) -> list:
+    """Both dual analysis matrices as ``(H^-1 [Lambda^H | Gamma^H])^H``: the two
+    families stacked, conjugated and transposed, in one left solve against the
+    pair's factor, whose result is conjugated and transposed back."""
+    stacked = np.vstack([stacked_analysis_matrix(f) for f in (pair.lam, pair.gam)])
+    return np.split(_prepare(pair, tol).factor.solve(stacked.conj().T).conj().T, 2)
+
+
+# (64, 32 x 4) as the benchmark runs it, (7; 3,5,2) and a small (5; 2,2,3) pair.
+ROW_SOLVE_PAIRS = {
+    "64": (GenSpec(64, (4,) * 32, 3, "prescribed_operator"), 9),
+    "7": (GenSpec(7, (3, 5, 2), 4, "prescribed_operator"), 9),
+    "5": (GenSpec(5, (2, 2, 3), 2, "prescribed_operator"), 3),
+}
+
+
+@pytest.mark.parametrize("name", ROW_SOLVE_PAIRS)
+def test_the_dual_is_each_family_solved_from_the_right(name):
+    """``Lambda H^-1`` and ``Gamma H^-1`` agree with the stacked left solve:
+    bit for bit at (64, 32 x 4), within a rounding elsewhere. Nothing is kept."""
+    spec, target_seed = ROW_SOLVE_PAIRS[name]
+    pair = gen_bi_g_frame(spec, random_hermitian_pd(spec.dim, target_seed))
+    expected = _stacked_dual(pair)
+    kept = pair._prepared
+    dual = canonical_pair(pair)
+    assert pair._prepared is kept and kept[3] == {}
+    for family, reference in zip((dual.lam, dual.gam), expected):
+        actual = stacked_analysis_matrix(family)
+        assert actual.flags.c_contiguous and not actual.flags.writeable
+        if name == "64":
+            np.testing.assert_array_equal(actual, reference)
+        else:
+            _assert_rel(actual, reference, rel=1e-15)
+
+
+def _peak_bytes(call) -> int:
+    """Peak of the memory ``call`` allocates under tracemalloc, after one warm call."""
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_dual_takes_two_family_sized_temporaries():
+    """At (64, 32 x 4) a family is 128 x 64 complex, 128 KiB. One right solve per
+    family needs the output and two more families, for ``a H^-1`` and its
+    refinement; stacking, conjugating or transposing a family costs more."""
+    pair = _prescribed_pair(64, (4,) * 32)
+    family = stacked_analysis_matrix(pair.lam).nbytes
+    dual = canonical_pair(pair)
+    output = sum(stacked_analysis_matrix(f).nbytes for f in (dual.lam, dual.gam))
+    assert family == 128 * 64 * 16 and output == 2 * family
+    assert _peak_bytes(lambda: canonical_pair(pair)) <= output + 2 * family + 16 * 1024
+
+
+def test_synthesis_copies_no_family():
+    """``Gamma^H y`` as ``conj(y^H Gamma)``: conjugating the 128 x 64 family
+    instead would take 128 KiB per call."""
+    pair = _prescribed_pair(64, (4,) * 32)
+    f = random_complex_vector(np.random.default_rng(64), 64)
+    g, _ = solve_synthesis_coefficients(pair, f, "gamma")
+    calls = {
+        "reconstruct 1": lambda: reconstruct(pair, f, 1),
+        "reconstruct 2": lambda: reconstruct(pair, f, 2),
+        "g_synthesis": lambda: g_synthesis(pair.gam, g),
+        "coefficient_identity_terms": lambda: coefficient_identity_terms(pair, f, g, "gamma"),
+    }
+    peaks = {name: _peak_bytes(call) for name, call in calls.items()}
+    assert all(peak < 16 * 1024 for peak in peaks.values()), peaks
+
+
 @pytest.mark.parametrize("scale", [2.0**-300, 2.0**300], ids=["2^-300", "2^300"])
 def test_non_hermitian_pair_stays_non_hermitian_at_extreme_scales(scale):
     """Scaled by 2^-300 the operator's squared entries underflow to 0, and by

@@ -23,13 +23,21 @@ from bgframes import (
 )
 from bgframes.cli import entrypoint, main
 from bgframes.kernel import CholeskyFactor
-from bgframes.fileio import FrameFile, dumps_json, frame_file_doc, load_frame_file, save_matrix
+from bgframes.fileio import (
+    FrameFile,
+    dumps_json,
+    frame_file_doc,
+    load_frame_file,
+    save_frame_file,
+    save_matrix,
+)
 from conftest import (
     cholesky_breakdown_pair,
     gauged_identity_pair,
     package_env,
     random_complex_vector,
     rescaled_pair,
+    subnormal_edge_pair,
     write_pair_file,
 )
 
@@ -211,6 +219,45 @@ def test_cholesky_breakdown_is_a_numerical_failure(capsys, tmp_path):
     assert out == ""
     assert "numerical failure" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["bounds"],
+        ["dual", "--out", "OUT"],
+        ["reconstruct", "--vector", "e1", "--variant", "1"],
+        ["identity", "--vector", "e1"],
+        ["lift", "--out", "OUT"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if a != "OUT" and not a.startswith("--")),
+)
+def test_an_inverse_beyond_the_double_range_is_a_numerical_failure(capsys, tmp_path, argv):
+    # H^-1 = diag(1, 1e310) is beyond the double range: a numerical failure, not an input error.
+    path = tmp_path / "subnormal.json"
+    write_pair_file(path, subnormal_edge_pair())
+    out_path = tmp_path / "out.json"
+    argv = [str(out_path) if a == "OUT" else a for a in argv]
+    code, out, err = run_cli(
+        capsys, argv[0], str(path), "--pair", "L,G", *argv[1:], "--tol", "1e-320"
+    )
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err and "smallest eigenvalue 1.000000e-310" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out_path.exists()
+
+
+def test_gcheck_at_a_subnormal_lower_bound_is_a_frame(capsys, tmp_path):
+    # The single-family route forms no inverse; it reports the frame as before.
+    path = tmp_path / "thin.json"
+    family = GFrameSystem(2, (np.diag([1.0, 1e-155]),))
+    save_frame_file(path, FrameFile(dim=2, systems={"L": family}, vectors={}))
+    code, out, err = run_cli(capsys, "gcheck", str(path), "--system", "L", "--tol", "1e-320")
+    doc = json.loads(out)
+    assert code == 0 and doc["verdicts"]["is_frame"] and "inverse_norm" not in doc
+    assert "Warning" not in err
 
 
 def test_undecodable_input_names_its_path(capsys, tmp_path):

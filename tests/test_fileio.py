@@ -46,6 +46,16 @@ def test_array_writer_matches_the_per_float_rule(values):
         assert dumps_json(x) == format_float(x)
 
 
+def test_batched_tokens_match_the_per_float_form():
+    # One %-format of the whole array, split into tokens, against one format() a float.
+    rng = np.random.default_rng(17)
+    spread = rng.standard_normal(4096) * 10.0 ** rng.integers(-300, 300, 4096)
+    arr = np.concatenate([EDGE_FLOATS, spread, -spread[:64], np.zeros(3)])
+    assert fileio._float_tokens(arr) == [format_float(x) for x in arr.tolist()]
+    assert fileio._float_tokens(np.array([-0.0])) == ["-0.0"]
+    assert fileio._float_tokens(np.array([])) == []
+
+
 def test_array_writer_formats_strided_views():
     block = np.arange(12, dtype=np.float64).reshape(3, 4) - 5.5 + 1j * np.eye(3, 4)
     for view in (block.real[:, 1], block.imag.ravel(), -block.imag[0]):

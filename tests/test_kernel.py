@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bgframes import (
     NotSquare,
     ShapeMismatch,
     as_matrix,
+    canonical_pair,
     classify_bi_g_frame,
     classify_biframe,
     classify_g_frame,
@@ -25,6 +27,7 @@ from bgframes import (
 )
 from bgframes.generators import random_hermitian_pd
 from bgframes.kernel import CholeskyFactor, _spectral_report
+from conftest import subnormal_edge_pair
 from oracles import adjoint_identity_check
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -216,6 +219,14 @@ def test_cholesky_solve_agrees_with_dense_solve(n, cond):
         # solvers can agree.
         assert np.linalg.norm(h @ x - b) <= 1e-14 * np.linalg.norm(x)
         assert np.linalg.norm(x - ref) <= max(1e-10, 1e-15 * cond) * np.linalg.norm(ref)
+    # The right-side solve a h^-1 of a matrix of rows, under the same bounds.
+    for shape in ((1, n), (3, n), (4 * n, n)):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        y = factor.solve_rows(a)
+        ref = np.linalg.solve(h.T, a.T).T
+        assert y.shape == a.shape
+        assert np.linalg.norm(y @ h - a) <= 1e-14 * np.linalg.norm(y)
+        assert np.linalg.norm(y - ref) <= max(1e-10, 1e-15 * cond) * np.linalg.norm(ref)
 
 
 def test_solve_pd_rejects_shape_mismatch():
@@ -297,3 +308,19 @@ def test_a_refused_tol_keeps_the_prepared_pair():
         classify_bi_g_frame(pair, tol=math.nan)
     assert pair._prepared is kept
     assert classify_g_frame(pair.lam, tol=0.0).tolerance == 0.0
+
+
+def test_an_inverse_beyond_the_double_range_is_a_numerical_failure():
+    # The frame gate at tol 0 passes a subnormal lower bound; H^-1 then
+    # overflows, and the factor refuses it instead of keeping inf and NaN.
+    pair = subnormal_edge_pair()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (classify_bi_g_frame, canonical_pair):
+            with pytest.raises(np.linalg.LinAlgError, match="smallest eigenvalue 1.000000e-310"):
+                call(pair, tol=0.0)
+    assert pair._prepared is None
+    # A single family factors nothing: its report at the same edge stands.
+    single = GFrameSystem(2, (np.diag([1.0, 1e-155]),))
+    lower = classify_g_frame(single, tol=0.0).bounds.lower
+    assert lower == pytest.approx(1e-310, rel=1e-9, abs=0.0)
