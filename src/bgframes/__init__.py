@@ -34,7 +34,6 @@ from .frames import (
     classify_controlled,
     classify_frame,
     frame_operator,
-    is_riesz_basis,
     synthesis_matrix,
 )
 from .generators import (
@@ -54,7 +53,6 @@ from .gframes import (
     g_frame_operator,
     g_synthesis,
     induced_vectors,
-    is_g_riesz_basis,
     stacked_analysis_matrix,
 )
 from .kernel import (
@@ -65,8 +63,6 @@ from .kernel import (
     as_vector,
     hermitian_deviation,
     inner,
-    operator_norm,
-    solve_pd,
 )
 
 __version__ = "0.1.0"

@@ -1,12 +1,12 @@
-"""Vector frames in finite dimensions: classification, duals, controlled
-and paired variants, and the Riesz-basis criterion.
+"""Vector frames in finite dimensions: classification, duals, and
+controlled and paired variants.
 
-A family ``{f_j}`` in C^n is the g-frame of its functionals
-``Lambda_j = f_j*``, and a pair of families is the bi-g-frame of theirs, so
-every verdict here is read from the frame operator ``sum_j f_j f_j*`` or
-the pair operator ``sum_j g_j f_j*``. Pair and controlled (``C S``)
-operators must additionally be Hermitian (within tolerance) for the
-two-sided inequality to make sense.
+A family ``{f_j}`` in C^n is the g-frame of its functionals ``Lambda_j = f_j*``,
+and a pair of families is the bi-g-frame of theirs, so every verdict here is
+read from the frame operator ``sum_j f_j f_j*`` or the pair operator
+``sum_j g_j f_j*``. Pair and controlled (``C S``) operators must additionally be
+Hermitian (within tolerance) for the two-sided inequality to make sense. A
+family is a Riesz basis (``is_riesz``) when it is a frame of exactly n vectors.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ import numpy as np
 
 from .bigframes import bi_g_frame_operator, from_vector_biframe
 from .errors import NotInvertibleController, ShapeMismatch
-from .gframes import VectorFrame, _functionals, classify_g_frame, g_frame_operator, is_g_riesz_basis
-from .kernel import DEFAULT_TOL, ClassifyReport, _spectral_report, as_matrix, solve_pd
-
-# Controllers need s_min > this times s_max: _PD_RATIO's cutoff, where C^-1 keeps ~4 digits.
-_CONTROLLER_RATIO = 1e-12
+from .gframes import VectorFrame, _functionals, classify_g_frame, g_frame_operator
+from .kernel import _PD_RATIO, DEFAULT_TOL, ClassifyReport, CholeskyFactor, _spectral_report
+from .kernel import as_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +35,7 @@ class ControlledSystem:
         if c.shape != (n, n):
             raise ShapeMismatch(f"controller shape {c.shape} does not match dimension {n}")
         s = np.linalg.svd(c, compute_uv=False)
-        if s[-1] <= _CONTROLLER_RATIO * s[0]:
+        if s[-1] <= _PD_RATIO * s[0]:
             raise NotInvertibleController(
                 f"controller is numerically singular: smallest singular value {s[-1]:.3e}"
             )
@@ -66,8 +64,10 @@ def classify_frame(frame: VectorFrame, tol: float = DEFAULT_TOL) -> ClassifyRepo
 
 
 def canonical_dual(frame: VectorFrame) -> VectorFrame:
-    """The family ``{S^-1 f_j}``; raises ``NotPositiveDefinite`` on non-frames."""
-    duals = solve_pd(frame_operator(frame), synthesis_matrix(frame))
+    """The family ``{S^-1 f_j}``; raises ``NotPositiveDefinite`` on non-frames at ``_PD_RATIO``."""
+    op = frame_operator(frame)
+    factor = CholeskyFactor.of(op, _spectral_report(op, _PD_RATIO, False))
+    duals = factor.solve(synthesis_matrix(frame))
     return VectorFrame(frame.dim, tuple(duals[:, j] for j in range(duals.shape[1])))
 
 
@@ -97,7 +97,8 @@ def classify_controlled(sys: ControlledSystem, tol: float = DEFAULT_TOL) -> Clas
     its spectrum edges. ``is_riesz`` refers to the underlying frame.
     """
     op = sys.controller @ frame_operator(sys.frame)
-    return _spectral_report(op, tol, True, is_riesz_basis(sys.frame, tol))
+    is_riesz = len(sys.frame) == sys.frame.dim and classify_frame(sys.frame, tol).is_frame
+    return _spectral_report(op, tol, True, is_riesz)
 
 
 def classify_biframe(f: VectorFrame, g: VectorFrame, tol: float = DEFAULT_TOL) -> ClassifyReport:
@@ -108,9 +109,5 @@ def classify_biframe(f: VectorFrame, g: VectorFrame, tol: float = DEFAULT_TOL) -
     ``is_riesz`` holds when both families are Riesz bases.
     """
     op = bi_g_frame_operator(from_vector_biframe(f, g))
-    return _spectral_report(op, tol, True, is_riesz_basis(f, tol) and is_riesz_basis(g, tol))
-
-
-def is_riesz_basis(frame: VectorFrame, tol: float = DEFAULT_TOL) -> bool:
-    """Finite-dimensional Riesz criterion: |J| = dim and a frame at ``tol``."""
-    return is_g_riesz_basis(_functionals(frame), tol)
+    is_riesz = all(len(h) == h.dim and classify_frame(h, tol).is_frame for h in (f, g))
+    return _spectral_report(op, tol, True, is_riesz)

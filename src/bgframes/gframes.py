@@ -212,8 +212,3 @@ def _functionals(frame: VectorFrame) -> GFrameSystem:
 def stacked_analysis_matrix(sys: GFrameSystem) -> np.ndarray:
     """All blocks stacked vertically: the read-only (sum_j m_j) x n analysis matrix."""
     return sys._analysis
-
-
-def is_g_riesz_basis(sys: GFrameSystem, tol: float = DEFAULT_TOL) -> bool:
-    """True for a Riesz basis: ``sum_j m_j = n`` and a frame at ``tol`` (see classify_g_frame)."""
-    return sys.total_block_dim == sys.dim and classify_g_frame(sys, tol).is_frame

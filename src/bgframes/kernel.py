@@ -1,10 +1,11 @@
-"""Dense complex-matrix primitives: Hermitian deviation, PD solves, and the one
-classification core, whose report is the positive-definite gate of every factor.
+"""Dense complex-matrix primitives: Hermitian deviation, the one classification
+core, and the PD factor, which that core's report gates.
 
 Everything downstream (frame layers, generators, CLI) goes through this module
 for its numerics. All functions are pure; inputs are validated and coerced to
 finite ``complex128`` arrays once, here. NumPy is the only dependency: a PD
 factor keeps ``H^-1`` (``cholesky``, ``inv``) and applies it from either side.
+Every PD solve is ``CholeskyFactor.of(op, report).solve(b)``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import NotPositiveDefinite, NotSquare, ShapeMismatch
 #: Package-wide default relative tolerance for verdicts and residual checks.
 DEFAULT_TOL = 1e-9
 
-# solve_pd's gate on lambda_min / lambda_max: a solve at condition 1e12 still keeps ~4 digits.
+# The lambda_min / lambda_max gate where no tol applies: condition 1e12 still keeps ~4 digits.
 _PD_RATIO = 1e-12
 
 
@@ -72,12 +73,6 @@ def hermitian_deviation(m) -> float:
     e = -np.frexp(peak)[1]
     a = np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e)
     return float(np.linalg.norm(a - a.conj().T) / np.linalg.norm(a))
-
-
-def operator_norm(m) -> float:
-    """Largest singular value."""
-    a = as_matrix(m)
-    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -190,27 +185,3 @@ class CholeskyFactor:
         y = np.subtract(a, r, out=r) @ self.h_inv
         y += x
         return y
-
-
-def solve_pd(m, b) -> np.ndarray:
-    """Solve ``M X = B`` for Hermitian positive definite ``M``.
-
-    ``b`` may be a vector or a matrix of right-hand sides; the result has
-    the same number of dimensions. A :class:`CholeskyFactor` of the Hermitian part
-    applies its ``H^-1`` with one refinement pass, which keeps ``||M X - B||_F`` at
-    roundoff level for the conditioning this package works with.
-
-    Raises ``NotPositiveDefinite`` (with the offending smallest eigenvalue)
-    when ``lambda_min <= 1e-12 * lambda_max`` (``_PD_RATIO``), whatever the caller's tol.
-    """
-    a = as_matrix(m)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise NotSquare(f"solve needs a square matrix, got {a.shape}")
-    rhs = np.asarray(b, dtype=np.complex128)
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
-        raise ShapeMismatch(f"right-hand side shape {rhs.shape} does not match order {n}")
-    if not np.isfinite(rhs).all():
-        raise ValueError("right-hand side entries must be finite")
-    report = _spectral_report(a, _PD_RATIO, hermitian_gates_bessel=False)
-    return CholeskyFactor.of(a, report).solve(rhs)

@@ -4,7 +4,8 @@ Each oracle reaches the package through its public API only, so it checks
 the library's own route instead of reusing it: the pairing sum is
 evaluated block by block, the dual probes solve with the pair operator's
 adjoint directly, not through the library's Cholesky factor, the inverse
-norm is read from an explicit inverse, not from the spectrum, and frame
+norm is read from an explicit inverse by NumPy's own 2-norm, not from the
+spectrum, the Riesz verdicts come from each family's own report, and frame
 file floats are formatted one at a time, not per array.
 """
 
@@ -19,9 +20,8 @@ from bgframes import (
     bi_g_frame_operator,
     canonical_pair,
     classify_bi_g_frame,
+    classify_g_frame,
     inner,
-    is_g_riesz_basis,
-    operator_norm,
     swap,
 )
 
@@ -57,7 +57,7 @@ def explicit_inverse_norm(sys: BiGFrameSystem) -> float:
     reports it as ``1/C`` from the bottom C of H's spectrum instead."""
     op = bi_g_frame_operator(sys)
     h = 0.5 * (op + op.conj().T)
-    return operator_norm(np.linalg.solve(h, np.eye(sys.dim)))
+    return float(np.linalg.norm(np.linalg.solve(h, np.eye(sys.dim)), 2))
 
 
 def dual_pair_bessel_check(
@@ -92,14 +92,14 @@ def dual_pair_bessel_check(
 
 
 def riesz_transfer_check(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> bool:
-    """For a bi-g-frame, whether ``is_g_riesz_basis`` answers the same for
-    both families; always true for genuine bi-g-frames. Raises
+    """For a bi-g-frame, whether ``classify_g_frame(...).is_riesz`` answers the
+    same for both families; always true for genuine bi-g-frames. Raises
     ``NotBiGFrame`` on pairs that are not bi-g-frames.
     """
     report = classify_bi_g_frame(sys, tol)
     if not report.is_frame:
         raise NotBiGFrame("pair is not a bi-g-frame", report=report)
-    return is_g_riesz_basis(sys.lam, tol) == is_g_riesz_basis(sys.gam, tol)
+    return classify_g_frame(sys.lam, tol).is_riesz == classify_g_frame(sys.gam, tol).is_riesz
 
 
 def format_float(x: float) -> str:

@@ -279,7 +279,7 @@ def test_riesz_status_transfer(prescribed_instances):
     for pair, _ in prescribed_instances:
         if not oracles.riesz_transfer_check(pair):
             exceptions += 1
-        if bg.is_g_riesz_basis(pair.lam) != bg.is_g_riesz_basis(pair.gam):
+        if bg.classify_g_frame(pair.lam).is_riesz != bg.classify_g_frame(pair.gam).is_riesz:
             exceptions += 1
         if pair.lam.total_block_dim == pair.dim:
             square_count += 1

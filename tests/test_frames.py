@@ -15,8 +15,6 @@ from bgframes import (
     classify_frame,
     frame_operator,
     inner,
-    is_riesz_basis,
-    solve_pd,
     synthesis_matrix,
 )
 from conftest import random_complex_vector
@@ -248,18 +246,16 @@ def test_controlled_duality_one_sided():
 
 @pytest.mark.parametrize("k", [5, 6, 7])
 def test_solvers_gate_where_classify_does_at_1e_12(k):
-    # Frame operator diag(1, 10^-2k), exactly 1e-12 at k = 6: the solvers raise
+    # Frame operator diag(1, 10^-2k), exactly 1e-12 at k = 6: the dual raises
     # exactly where classify at tol 1e-12 finds no frame.
     frame = VectorFrame(2, (np.array([1.0, 0.0]), np.array([0.0, 10.0**-k])))
     is_frame = classify_frame(frame, tol=1e-12).is_frame
     assert is_frame == (k == 5)
-    solves = (lambda: canonical_dual(frame), lambda: solve_pd(frame_operator(frame), np.eye(2)))
-    for solve in solves:
-        if is_frame:
-            solve()
-        else:
-            with pytest.raises(NotPositiveDefinite):
-                solve()
+    if is_frame:
+        canonical_dual(frame)
+    else:
+        with pytest.raises(NotPositiveDefinite):
+            canonical_dual(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +293,26 @@ def test_biframe_nilpotent_pair_rejected():
 
 
 def test_riesz_basis_examples():
-    assert is_riesz_basis(ORTHO_2)
-    assert not is_riesz_basis(REDUNDANT)  # three vectors in dimension two
-    assert is_riesz_basis(VectorFrame(2, (np.array([1.0, 0.0]), np.array([1.0, 1.0]))))
+    assert classify_frame(ORTHO_2).is_riesz
+    assert not classify_frame(REDUNDANT).is_riesz  # three vectors in dimension two
+    assert classify_frame(VectorFrame(2, (np.array([1.0, 0.0]), np.array([1.0, 1.0])))).is_riesz
+
+
+def test_riesz_verdict_skips_the_spectrum_of_a_redundant_family(lapack_calls):
+    # A family of more than n vectors is no Riesz basis, whatever its spectrum:
+    # only the pair or controlled operator's own spectrum is taken. A square
+    # pair also classifies each family, one spectrum each.
+    controlled = ControlledSystem(REDUNDANT, 2.5 * np.eye(2))
+    cases = (
+        (lambda: classify_biframe(REDUNDANT, REDUNDANT), 1, False),
+        (lambda: classify_biframe(ORTHO_2, ORTHO_2), 3, True),
+        (lambda: classify_controlled(controlled), 1, False),
+    )
+    for classify, spectra, is_riesz in cases:
+        lapack_calls.clear()
+        report = classify()
+        assert report.is_frame and report.is_riesz is is_riesz
+        assert lapack_calls == {"eigvalsh": spectra}
 
 
 def test_vector_frame_validation():

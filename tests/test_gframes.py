@@ -15,7 +15,6 @@ from bgframes import (
     gen_g_frame,
     induced_vectors,
     inner,
-    is_g_riesz_basis,
     stacked_analysis_matrix,
 )
 from conftest import random_complex_vector
@@ -156,7 +155,7 @@ def test_verdicts_invariant_under_block_rotations():
     assert before.is_frame == after.is_frame
     assert abs(before.bounds.lower - after.bounds.lower) <= 1e-10
     assert abs(before.bounds.upper - after.bounds.upper) <= 1e-10
-    assert is_g_riesz_basis(sys) == is_g_riesz_basis(rotated)
+    assert before.is_riesz == after.is_riesz
 
 
 def test_gram_rounding_does_not_decide_the_frame_verdict():
@@ -171,10 +170,10 @@ def test_gram_rounding_does_not_decide_the_frame_verdict():
 
 
 def test_g_riesz_examples():
-    assert is_g_riesz_basis(IDENTITY_SPLIT)
-    assert not is_g_riesz_basis(MIXED)  # total block dimension 3 > 2
+    assert classify_g_frame(IDENTITY_SPLIT).is_riesz
+    assert not classify_g_frame(MIXED).is_riesz  # total block dimension 3 > 2
     invertible = GFrameSystem(2, (np.array([[1.0, 1.0], [0.0, 1.0]]),))
-    assert is_g_riesz_basis(invertible)
+    assert classify_g_frame(invertible).is_riesz
 
 
 def test_a_riesz_basis_is_a_frame(lapack_calls):
@@ -185,10 +184,9 @@ def test_a_riesz_basis_is_a_frame(lapack_calls):
     report = classify_g_frame(thin)
     assert (report.is_frame, report.is_riesz) == (False, False)
     assert lapack_calls == {"eigvalsh": 1}
-    assert not is_g_riesz_basis(thin)
     assert classify_frame(induced_vectors(thin)).is_riesz is False
     # At a tolerance the frame passes, it is a Riesz basis.
-    assert classify_g_frame(thin, tol=1e-11).is_riesz and is_g_riesz_basis(thin, tol=1e-11)
+    assert classify_g_frame(thin, tol=1e-11).is_riesz
 
 
 def test_stacked_analysis_shape():

@@ -22,10 +22,7 @@ from bgframes import (
     hermitian_deviation,
     inner,
     lift_to_biframe,
-    operator_norm,
-    solve_pd,
 )
-from bgframes.generators import random_hermitian_pd
 from bgframes.kernel import CholeskyFactor, _spectral_report
 from conftest import subnormal_edge_pair
 from oracles import adjoint_identity_check
@@ -153,39 +150,13 @@ def test_eig_rejects_rectangular_and_nonhermitian():
 
 
 # ---------------------------------------------------------------------------
-# solve_pd
+# CholeskyFactor
 
 
-def test_solve_pd_diagonal():
-    x = solve_pd(np.diag([2.0, 1.0]), np.eye(2))
-    np.testing.assert_allclose(x, np.diag([0.5, 1.0]), atol=1e-14)
-
-
-def test_solve_pd_identity_returns_rhs():
-    rng = np.random.default_rng(3)
-    b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    np.testing.assert_allclose(solve_pd(np.eye(3), b), b, atol=1e-14)
-
-
-def test_solve_pd_vector_rhs():
-    x = solve_pd(np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]))
-    np.testing.assert_allclose(x, [0.5, 0.0], atol=1e-14)
-    assert x.ndim == 1
-
-
-def test_solve_pd_recovers_solution_at_cond_1e6():
-    m = random_hermitian_pd(6, seed=101, eig_low=1e-3, eig_high=1e3)
-    rng = np.random.default_rng(5)
-    x0 = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-    b = m @ x0
-    x = solve_pd(m, b)
-    assert np.linalg.norm(x - x0) <= 1e-8 * np.linalg.norm(x0)
-    assert np.linalg.norm(m @ x - b) <= 1e-9 * np.linalg.norm(b)
-
-
-def test_solve_pd_rejects_indefinite():
+def test_cholesky_factor_rejects_indefinite():
+    h = np.diag([1.0, -1.0]).astype(np.complex128)
     with pytest.raises(NotPositiveDefinite) as excinfo:
-        solve_pd(np.diag([1.0, -1.0]), np.eye(2))
+        CholeskyFactor.of(h, _spectral_report(h, 1e-12, hermitian_gates_bessel=False))
     assert excinfo.value.smallest_eigenvalue == pytest.approx(-1.0)
 
 
@@ -196,8 +167,6 @@ def test_cholesky_gate_reads_its_ratio():
     with pytest.raises(NotPositiveDefinite) as excinfo:
         CholeskyFactor.of(h, _spectral_report(h, 1e-12, hermitian_gates_bessel=False))
     assert excinfo.value.smallest_eigenvalue == 1e-13
-    with pytest.raises(NotPositiveDefinite):
-        solve_pd(h, np.ones(2))
 
 
 @pytest.mark.parametrize("n", [4, 64, 256])
@@ -227,37 +196,6 @@ def test_cholesky_solve_agrees_with_dense_solve(n, cond):
         assert y.shape == a.shape
         assert np.linalg.norm(y @ h - a) <= 1e-14 * np.linalg.norm(y)
         assert np.linalg.norm(y - ref) <= max(1e-10, 1e-15 * cond) * np.linalg.norm(ref)
-
-
-def test_solve_pd_rejects_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        solve_pd(np.eye(2), np.ones(3))
-
-
-# ---------------------------------------------------------------------------
-# operator_norm
-
-
-def test_operator_norm_diagonal():
-    assert operator_norm(np.diag([2.0, 1.0])) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_operator_norm_zero_matrix():
-    assert operator_norm(np.zeros((3, 2))) == 0.0
-
-
-def test_operator_norm_unitary_is_one():
-    rng = np.random.default_rng(11)
-    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    assert operator_norm(q) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_operator_norm_matches_spectrum_for_hermitian():
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    m = a + a.conj().T
-    top = float(np.max(np.abs(np.linalg.eigvalsh(m))))
-    assert operator_norm(m) == pytest.approx(top, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ from bgframes import (
     classify_controlled,
     classify_frame,
     classify_g_frame,
-    is_g_riesz_basis,
-    is_riesz_basis,
 )
 
 PUBLIC_NAMES = [
@@ -38,8 +36,7 @@ PUBLIC_NAMES = [
     "classify_g_frame", "coefficient_identity_terms", "frame_operator",
     "from_vector_biframe", "g_analysis", "g_frame_operator", "g_synthesis",
     "gen_bi_g_frame", "gen_g_frame", "gen_negative", "hermitian_deviation",
-    "induced_vectors", "inner", "is_g_riesz_basis", "is_riesz_basis", "lift_to_biframe",
-    "operator_norm", "random_hermitian_pd", "reconstruct", "solve_pd",
+    "induced_vectors", "inner", "lift_to_biframe", "random_hermitian_pd", "reconstruct",
     "solve_synthesis_coefficients", "stacked_analysis_matrix", "swap", "synthesis_matrix",
 ]
 
@@ -120,12 +117,12 @@ def test_public_predicates_return_bool():
         check_duality(basis, swapped),
         check_controlled_duality(controlled, basis),
         check_controlled_duality(controlled, swapped),
-        is_riesz_basis(basis),
-        is_riesz_basis(redundant),
-        is_riesz_basis(VectorFrame(2, (np.array([1.0, 0.0]), np.array([2.0, 0.0])))),
-        is_g_riesz_basis(GFrameSystem(2, (np.eye(2),))),
-        is_g_riesz_basis(GFrameSystem(2, (np.ones((2, 2)),))),
-        is_g_riesz_basis(GFrameSystem(2, (np.eye(2), np.eye(2)))),
+        classify_frame(basis).is_riesz,
+        classify_frame(redundant).is_riesz,
+        classify_frame(VectorFrame(2, (np.array([1.0, 0.0]), np.array([2.0, 0.0])))).is_riesz,
+        classify_g_frame(GFrameSystem(2, (np.eye(2),))).is_riesz,
+        classify_g_frame(GFrameSystem(2, (np.ones((2, 2)),))).is_riesz,
+        classify_g_frame(GFrameSystem(2, (np.eye(2), np.eye(2)))).is_riesz,
     ]
     assert values == [True, False, True, False, True, False, False, True, False, False]
     assert all(type(v) is bool for v in values)
