@@ -7,6 +7,7 @@ from .bigframes import (
     bi_g_frame_operator,
     canonical_pair,
     classify_bi_g_frame,
+    classify_g_frame,
     coefficient_identity_terms,
     from_vector_biframe,
     lift_to_biframe,
@@ -48,7 +49,6 @@ from .gframes import (
     CoefficientSequence,
     GFrameSystem,
     VectorFrame,
-    classify_g_frame,
     g_analysis,
     g_frame_operator,
     g_synthesis,

@@ -1,6 +1,5 @@
-"""Paired operator families (bi-g-frames): their operator, duals,
-reconstruction, coefficient identities, and the lift to plain vector
-biframes.
+"""Paired operator families (bi-g-frames): the one verdict core, duals,
+reconstruction, coefficient identities, and the lift to vector biframes.
 
 A shape-matched pair ``(Lambda, Gamma)`` of block families is a bi-g-frame
 when the mixed sums ``sum_j <Lambda_j f, Gamma_j f>`` are pinched between
@@ -8,11 +7,13 @@ when the mixed sums ``sum_j <Lambda_j f, Gamma_j f>`` are pinched between
 form of ``S = sum_j Gamma_j* Lambda_j``, so over the complex field the pair
 is a bi-g-frame exactly when ``S`` is Hermitian (within tolerance) and
 positive definite; the optimal constants are the spectrum edges of ``S``.
+Every verdict in the package is read by :func:`_classify`: a g-frame is the
+pair ``(Lambda, Lambda)``, and a controlled system ``(F, C F)``, of operator ``C S``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -153,7 +154,8 @@ class _PreparedPair:
         _, synthesis = self._families(side)
         v = _check_vector(self.sys, f)
         residual = float(np.linalg.norm(g_synthesis(synthesis, g) - v))
-        if residual > self.report.tolerance * (1.0 + float(np.linalg.norm(v))):
+        lhs = g.norm_sq()
+        if residual > self.report.tolerance * (synthesis._frobenius * lhs**0.5 + np.linalg.norm(v)):
             raise ConstraintViolated(
                 f"coefficients do not synthesize the vector: residual {residual:.3e}"
             )
@@ -162,34 +164,43 @@ class _PreparedPair:
         gam_y = stacked_analysis_matrix(self.sys.gam) @ y
         c = g.to_flat()
         first = inner(c, c - gam_y) if side == "gamma" else inner(c - lam_y, c)
-        return g.norm_sq(), first + inner(lam_y, gam_y)
+        return lhs, first + inner(lam_y, gam_y)
+
+
+def _classify(sys: BiGFrameSystem, tol: float) -> tuple:
+    """``(S, report)``; the Hermitian gate is off exactly when the families are equal."""
+    op = bi_g_frame_operator(sys)
+    gram = np.array_equal(stacked_analysis_matrix(sys.lam), stacked_analysis_matrix(sys.gam))
+    return op, _spectral_report(op, tol, hermitian_gates_bessel=not gram)
 
 
 def _prepare(sys: BiGFrameSystem, tol: float) -> _PreparedPair:
-    """Operator, Hermitian gate, one spectrum and (for frames) one factor:
-    the spectrum edges are both the frame verdict and the factor's gate.
+    """:func:`_classify` and (for frames) one factor: the spectrum edges are both
+    the frame verdict and the factor's gate.
     Kept on ``sys`` for the last ``tol`` only, and only once the factor is built,
     with an empty dict in which each side's null basis is kept once built."""
     kept = sys._prepared
     if kept is None or kept[0] != tol:
-        op = bi_g_frame_operator(sys)
-        report = _spectral_report(op, tol, hermitian_gates_bessel=True)
+        op, report = _classify(sys, tol)
         kept = (tol, report, CholeskyFactor.of(op, report) if report.is_frame else None, {})
         object.__setattr__(sys, "_prepared", kept)
     return _PreparedPair(sys, *kept[1:])
 
 
 def classify_bi_g_frame(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> ClassifyReport:
-    """Classify a pair from its operator.
-
-    A Hermitian deviation above ``tol`` rules out even the Bessel verdict,
-    since a two-sided real inequality forces real pairing sums. Otherwise
-    the verdicts and bounds come from the spectrum edges. On a bi-g-frame
-    ``inverse_norm`` is ``||H^-1|| = 1/C``, H the Hermitian part of S and C
-    the optimal lower bound, the bottom of H's spectrum. ``is_riesz`` is
-    ``None``: pair reports do not compute it.
-    """
+    """Classify a pair from its operator. Unless the families are equal, a Hermitian
+    deviation above ``tol`` rules out even the Bessel verdict, since a two-sided
+    real inequality forces real pairing sums. The rest comes from the spectrum
+    edges; ``inverse_norm`` is ``||H^-1|| = 1/C``, H the Hermitian part of S and C
+    the lower bound. ``is_riesz`` is ``None``: pair reports do not compute it."""
     return _prepare(sys, tol).report
+
+
+def classify_g_frame(sys: GFrameSystem, tol: float = DEFAULT_TOL) -> ClassifyReport:
+    """Classify a block family as the pair ``(Lambda, Lambda)``; a frame
+    (analysis matrix of rank n) is a Riesz basis exactly when ``sum_j m_j = n``."""
+    report = _classify(BiGFrameSystem(sys, sys), tol)[1]
+    return replace(report, is_riesz=report.is_frame and sys.total_block_dim == sys.dim)
 
 
 def swap(sys: BiGFrameSystem) -> BiGFrameSystem:
@@ -256,8 +267,8 @@ def coefficient_identity_terms(
     on the gamma side, and the mirrored first term ``<g_j - Lt_j f, g_j>``
     on the lambda side. Both dual terms need only ``Lt_j f = Lambda_j y``
     and ``Gt_j f = Gamma_j y`` with ``y = H^-1 f``, so one solve serves
-    them. Returns ``(lhs, rhs)`` as (float, complex); raises
-    ``ConstraintViolated`` when ``g`` does not synthesize ``f``.
+    them. Returns ``(lhs, rhs)`` as (float, complex); raises ``ConstraintViolated``
+    when ``||Gamma^H g - f|| > tol (||Gamma||_F ||g|| + ||f||)`` (``Lambda`` on that side).
     """
     return _prepare(sys, tol).identity_terms(f, g, side)
 

@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bigframes import BiGFrameSystem, _prepare, lift_to_biframe
+from .bigframes import BiGFrameSystem, _prepare, classify_g_frame, lift_to_biframe
 from .errors import ConstraintViolated, FrameToolError, SchemaError
 from .fileio import FrameFile, dumps_json, load_frame_file, load_matrix, save_frame_file
 from .frames import classify_biframe
@@ -37,7 +37,7 @@ from .generators import (
     gen_g_frame,
     gen_negative,
 )
-from .gframes import CoefficientSequence, classify_g_frame
+from .gframes import CoefficientSequence
 from .kernel import DEFAULT_TOL
 
 _TOL_ENV = "BGF_TOL"
@@ -208,10 +208,11 @@ def _cmd_reconstruct(args) -> int:
     if not prepared.report.is_frame:
         return _negative(doc, prepared.report)
     rebuilt = prepared.reconstruct(vectors, args.variant)
-    # Relative to each vector's norm; a zero vector's residual is absolute.
+    # Relative to each vector's norm (a zero vector's: absolute), gated as backward errors.
     residuals = [float(np.linalg.norm(r - v)) / (float(np.linalg.norm(v)) or 1.0)
                  for r, v in zip(rebuilt, vectors)]
-    ok = all(r <= doc["tolerance"] for r in residuals)
+    scale = prepared.sys.lam._frobenius * prepared.sys.gam._frobenius * prepared.report.inverse_norm
+    ok = all(r <= doc["tolerance"] * scale for r in residuals)
     doc.update(residuals=residuals, max_residual=max(residuals), ok=ok)
     _emit(doc)
     return 0 if ok else 3

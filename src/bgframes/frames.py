@@ -2,24 +2,23 @@
 controlled and paired variants.
 
 A family ``{f_j}`` in C^n is the g-frame of its functionals ``Lambda_j = f_j*``,
-and a pair of families is the bi-g-frame of theirs, so every verdict here is
-read from the frame operator ``sum_j f_j f_j*`` or the pair operator
-``sum_j g_j f_j*``. Pair and controlled (``C S``) operators must additionally be
-Hermitian (within tolerance) for the two-sided inequality to make sense. A
-family is a Riesz basis (``is_riesz``) when it is a frame of exactly n vectors.
+and a pair of families is the bi-g-frame of theirs, so every verdict here is a
+pair verdict, read from ``sum_j g_j f_j*``: a family is the pair ``(f, f)``, and a
+controlled system ``(f, C f)``, with operator ``C S``. Unless the two families are
+equal, that operator must also be Hermitian (within tolerance). A family is a
+Riesz basis (``is_riesz``) when it is a frame of exactly n vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bigframes import bi_g_frame_operator, from_vector_biframe
+from .bigframes import _classify, bi_g_frame_operator, classify_g_frame, from_vector_biframe
 from .errors import NotInvertibleController, ShapeMismatch
-from .gframes import VectorFrame, _functionals, classify_g_frame, g_frame_operator
-from .kernel import _PD_RATIO, DEFAULT_TOL, ClassifyReport, CholeskyFactor, _spectral_report
-from .kernel import as_matrix
+from .gframes import VectorFrame, _functionals, g_frame_operator
+from .kernel import _PD_RATIO, DEFAULT_TOL, ClassifyReport, CholeskyFactor, as_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,18 +54,15 @@ def frame_operator(frame: VectorFrame) -> np.ndarray:
 
 def classify_frame(frame: VectorFrame, tol: float = DEFAULT_TOL) -> ClassifyReport:
     """Classify a vector family; bounds are the frame operator's spectrum edges.
-
-    Any finite family is Bessel. The frame verdict requires
-    ``lambda_min > tol * lambda_max``; tight means the spectrum collapses to
-    a point relative to ``tol``, Parseval additionally pins it at 1.
-    """
+    Any finite family is Bessel. The frame verdict requires ``lambda_min > tol *
+    lambda_max``; tight means the spectrum collapses to a point relative to ``tol``,
+    Parseval additionally pins it at 1."""
     return classify_g_frame(_functionals(frame), tol)
 
 
 def canonical_dual(frame: VectorFrame) -> VectorFrame:
     """The family ``{S^-1 f_j}``; raises ``NotPositiveDefinite`` on non-frames at ``_PD_RATIO``."""
-    op = frame_operator(frame)
-    factor = CholeskyFactor.of(op, _spectral_report(op, _PD_RATIO, False))
+    factor = CholeskyFactor.of(*_classify(from_vector_biframe(frame, frame), _PD_RATIO))
     duals = factor.solve(synthesis_matrix(frame))
     return VectorFrame(frame.dim, tuple(duals[:, j] for j in range(duals.shape[1])))
 
@@ -90,15 +86,15 @@ def check_controlled_duality(
 
 
 def classify_controlled(sys: ControlledSystem, tol: float = DEFAULT_TOL) -> ClassifyReport:
-    """Classify a controlled system via ``S_c = C S``.
+    """Classify a controlled system as the pair ``(F, C F)``, whose operator is ``C S``.
 
-    The weighted pairing sum equals ``<S_c f, f>``, so a controlled-frame
-    verdict requires ``S_c`` to be Hermitian within ``tol``; bounds are then
+    The weighted pairing sum equals ``<C S f, f>``, so a controlled-frame
+    verdict requires ``C S`` to be Hermitian within ``tol``; bounds are then
     its spectrum edges. ``is_riesz`` refers to the underlying frame.
     """
-    op = sys.controller @ frame_operator(sys.frame)
-    is_riesz = len(sys.frame) == sys.frame.dim and classify_frame(sys.frame, tol).is_frame
-    return _spectral_report(op, tol, True, is_riesz)
+    f, weighted = sys.frame, sys.controller @ synthesis_matrix(sys.frame)
+    report = _classify(from_vector_biframe(f, VectorFrame(f.dim, tuple(weighted.T))), tol)[1]
+    return replace(report, is_riesz=len(f) == f.dim and classify_frame(f, tol).is_frame)
 
 
 def classify_biframe(f: VectorFrame, g: VectorFrame, tol: float = DEFAULT_TOL) -> ClassifyReport:
@@ -108,6 +104,6 @@ def classify_biframe(f: VectorFrame, g: VectorFrame, tol: float = DEFAULT_TOL) -
     that operator; verdict rules are the same as for controlled systems.
     ``is_riesz`` holds when both families are Riesz bases.
     """
-    op = bi_g_frame_operator(from_vector_biframe(f, g))
+    report = _classify(from_vector_biframe(f, g), tol)[1]
     is_riesz = all(len(h) == h.dim and classify_frame(h, tol).is_frame for h in (f, g))
-    return _spectral_report(op, tol, True, is_riesz)
+    return replace(report, is_riesz=is_riesz)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bigframes import BiGFrameSystem, bi_g_frame_operator
+from .bigframes import BiGFrameSystem, _classify, bi_g_frame_operator, classify_g_frame
 from .errors import NotHermitian, ShapeMismatch
-from .gframes import GFrameSystem, classify_g_frame, g_frame_operator, stacked_analysis_matrix
+from .gframes import GFrameSystem, stacked_analysis_matrix
 from .kernel import DEFAULT_TOL, CholeskyFactor, as_matrix, hermitian_deviation
 from .kernel import _PD_RATIO, _require_definite, _spectral_report
 
@@ -132,8 +132,7 @@ def _pair_with_target(lam: GFrameSystem, target: np.ndarray) -> BiGFrameSystem:
     Setting ``Gamma_j = Lambda_j M`` gives pair operator ``M* S_lam``, so
     ``M = S_lam^-1 target*`` lands on ``target``.
     """
-    s_lam = g_frame_operator(lam)
-    m = CholeskyFactor.of(s_lam, _spectral_report(s_lam, _PD_RATIO, False)).solve(target.conj().T)
+    m = CholeskyFactor.of(*_classify(BiGFrameSystem(lam, lam), _PD_RATIO)).solve(target.conj().T)
     # One product per block: BLAS rounds a product of the stacked matrix
     # differently, which would change the entries that `bgf gen` writes.
     gam = GFrameSystem(lam.dim, tuple(b @ m for b in lam.blocks))

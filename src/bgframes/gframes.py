@@ -3,25 +3,25 @@ C^{m_j}, their synthesis/analysis maps, operator, and induced vectors;
 and vector families, which are g-frames of rank-one blocks.
 
 This module is the only one that knows how families are laid out. A system
-stores its blocks as one read-only (sum_j m_j) x n analysis matrix, block
-j ascending, and ``blocks`` holds row views of it; a coefficient sequence
-stores one read-only flat vector in the same order, and ``parts`` holds
-views of it, cut on first read; a vector family stores one read-only |J| x n
-matrix whose row j is f_j, and ``vectors`` holds row views of it. Every map
-is one matrix product of these arrays, reproducible for a fixed BLAS build
-and thread count.
+stores its blocks as one read-only (sum_j m_j) x n analysis matrix, block j
+ascending, and ``blocks`` holds row views of it; a coefficient sequence stores
+one read-only flat vector in the same order, and ``parts`` holds views of it,
+cut on first read; a vector family stores one read-only |J| x n matrix whose
+row j is f_j, and ``vectors`` holds row views of it. Every map is one matrix
+product of these arrays, reproducible for a fixed BLAS build and thread count.
+Nothing is classified here: ``bigframes`` reads a family as ``(Lambda, Lambda)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .kernel import DEFAULT_TOL, ClassifyReport, _spectral_report, as_matrix, as_vector
+from .kernel import as_matrix, as_vector
 
 
 def _views(stacked: np.ndarray, sizes: tuple) -> tuple:
@@ -73,6 +73,10 @@ class GFrameSystem:
     @property
     def total_block_dim(self) -> int:
         return self._analysis.shape[0]
+
+    @cached_property
+    def _frobenius(self) -> float:
+        return float(np.linalg.norm(self._analysis))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,13 +187,6 @@ def g_frame_operator(sys: GFrameSystem) -> np.ndarray:
     """``S = sum_j Lambda_j* Lambda_j``; Hermitian PSD by construction."""
     a = stacked_analysis_matrix(sys)
     return a.conj().T @ a
-
-
-def classify_g_frame(sys: GFrameSystem, tol: float = DEFAULT_TOL) -> ClassifyReport:
-    """Classify from the spectrum edges of the block frame operator; a frame
-    (analysis matrix of rank n) is a Riesz basis exactly when ``sum_j m_j = n``."""
-    report = _spectral_report(g_frame_operator(sys), tol, False)
-    return replace(report, is_riesz=report.is_frame and sys.total_block_dim == sys.dim)
 
 
 def induced_vectors(sys: GFrameSystem) -> VectorFrame:

@@ -1,11 +1,11 @@
-"""Dense complex-matrix primitives: Hermitian deviation, the one classification
-core, and the PD factor, which that core's report gates.
+"""Dense complex-matrix primitives: Hermitian deviation, the spectral report
+every verdict is read from, and the PD factor, which that report gates.
 
 Everything downstream (frame layers, generators, CLI) goes through this module
 for its numerics. All functions are pure; inputs are validated and coerced to
 finite ``complex128`` arrays once, here. NumPy is the only dependency: a PD
 factor keeps ``H^-1`` (``cholesky``, ``inv``) and applies it from either side.
-Every PD solve is ``CholeskyFactor.of(op, report).solve(b)``.
+Every PD solve is ``CholeskyFactor.of(*bigframes._classify(pair, tol)).solve(b)``.
 """
 
 from __future__ import annotations
@@ -112,22 +112,20 @@ class ClassifyReport:
     _edges: tuple | None = field(default=None, repr=False, compare=False)
 
 
-def _spectral_report(
-    op: np.ndarray, tol: float, hermitian_gates_bessel: bool, is_riesz: bool | None = None
-) -> ClassifyReport:
+def _spectral_report(op: np.ndarray, tol: float, hermitian_gates_bessel: bool) -> ClassifyReport:
     """The one classification core: deviation gate, then the spectrum edges
     ``lo, hi`` of the Hermitian part, a frame when ``lo > tol * max(hi, 0)``.
 
-    ``hermitian_gates_bessel`` is false for Gram operators, which are
-    Hermitian and Bessel by construction: their deviation is rounding, so
-    it is reported but gates nothing. Raises ``ValueError`` unless ``tol`` is
-    finite and non-negative.
+    ``hermitian_gates_bessel`` is false for Gram operators, Hermitian and Bessel
+    by construction: their deviation is rounding, reported but gating nothing.
+    Raises ``ValueError`` unless ``tol`` is finite and non-negative, and
+    ``numpy.linalg.LinAlgError`` on a frame whose ``1/lo`` overflows.
     """
     if not (tol >= 0.0 and np.isfinite(tol)):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     dev = hermitian_deviation(op)
     if hermitian_gates_bessel and dev > tol:
-        return ClassifyReport(False, False, False, False, is_riesz, None, dev, tol)
+        return ClassifyReport(False, False, False, False, None, None, dev, tol)
     h = 0.5 * (op + op.conj().T)
     w = np.linalg.eigvalsh(h)
     lo, hi = float(w[0]), float(w[-1])
@@ -136,8 +134,10 @@ def _spectral_report(
     is_parseval = is_tight and abs(hi - 1.0) <= tol
     bounds = FrameBounds(lo, hi) if is_frame else None
     inverse_norm = 1.0 / lo if is_frame else None
+    if inverse_norm == np.inf:
+        raise np.linalg.LinAlgError(f"H^-1 overflows: smallest eigenvalue {lo:.6e}")
     return ClassifyReport(
-        True, is_frame, is_tight, is_parseval, is_riesz, bounds, dev, tol, inverse_norm, (lo, hi)
+        True, is_frame, is_tight, is_parseval, None, bounds, dev, tol, inverse_norm, (lo, hi)
     )
 
 

@@ -5,8 +5,9 @@ the library's own route instead of reusing it: the pairing sum is
 evaluated block by block, the dual probes solve with the pair operator's
 adjoint directly, not through the library's Cholesky factor, the inverse
 norm is read from an explicit inverse by NumPy's own 2-norm, not from the
-spectrum, the Riesz verdicts come from each family's own report, and frame
-file floats are formatted one at a time, not per array.
+spectrum, the Riesz verdicts come from each family's own report, the
+controlled verdicts from ``C @ F F^H`` with plain NumPy, not from the pair
+``(F, C F)``, and frame file floats are formatted one at a time, not per array.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from bgframes import (
     DEFAULT_TOL,
     BiGFrameSystem,
+    ControlledSystem,
     NotBiGFrame,
     ShapeMismatch,
     as_vector,
@@ -23,6 +25,7 @@ from bgframes import (
     classify_g_frame,
     inner,
     swap,
+    synthesis_matrix,
 )
 
 
@@ -100,6 +103,19 @@ def riesz_transfer_check(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> bool:
     if not report.is_frame:
         raise NotBiGFrame("pair is not a bi-g-frame", report=report)
     return classify_g_frame(sys.lam, tol).is_riesz == classify_g_frame(sys.gam, tol).is_riesz
+
+
+def controlled_verdicts(sys: ControlledSystem, tol: float = DEFAULT_TOL) -> tuple:
+    """``(is_bessel, is_frame, lower, upper)`` of a controlled system, read from
+    its operator ``C S`` formed as ``C @ (F F^H)``: Bessel when its relative
+    Frobenius distance from its adjoint is at most ``tol``, then a frame when the
+    bottom of its Hermitian part's spectrum exceeds ``tol`` times the top."""
+    f = synthesis_matrix(sys.frame)
+    op = sys.controller @ (f @ f.conj().T)
+    if np.linalg.norm(op - op.conj().T) > tol * np.linalg.norm(op):
+        return False, False, None, None
+    w = np.linalg.eigvalsh(0.5 * (op + op.conj().T))
+    return True, bool(w[0] > tol * max(w[-1], 0.0)), float(w[0]), float(w[-1])
 
 
 def format_float(x: float) -> str:

@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,12 +22,14 @@ from bgframes import (
     canonical_pair,
     classify_bi_g_frame,
     classify_biframe,
+    classify_g_frame,
     coefficient_identity_terms,
     from_vector_biframe,
     g_analysis,
     g_frame_operator,
     g_synthesis,
     gen_bi_g_frame,
+    gen_g_frame,
     gen_negative,
     inner,
     lift_to_biframe,
@@ -37,6 +40,7 @@ from bgframes import (
     swap,
 )
 from bgframes.bigframes import _prepare
+from bgframes.cli import _perturbed
 from bgframes.kernel import CholeskyFactor
 from conftest import (
     cholesky_breakdown_pair,
@@ -498,6 +502,88 @@ def test_frame_gate_reads_the_callers_tol():
     assert report.bounds.upper == pytest.approx(1.0, rel=1e-12)
     assert report.inverse_norm == pytest.approx(1e13, rel=1e-9)
     assert not classify_bi_g_frame(TINY_EDGE, tol=1e-12).is_frame
+
+
+@pytest.mark.parametrize("tol", [1e-16, DEFAULT_TOL])
+def test_a_gram_pair_classifies_as_its_single_family(tol):
+    # At 1e-16 the Hermitian gate read the rounding of S = Lambda^H Lambda and
+    # refused the Bessel verdict of 35 of these 200 pairs, all frames alone.
+    for seed in range(200):
+        lam = gen_g_frame(GenSpec(7, (3, 5, 2), seed))
+        single = classify_g_frame(lam, tol)
+        for gam in (lam, GFrameSystem(lam.dim, lam.blocks)):
+            report = classify_bi_g_frame(BiGFrameSystem(lam, gam), tol)
+            assert report == replace(single, is_riesz=None), seed
+            assert report._edges == single._edges
+
+
+def _prescribed_7(seed: int) -> BiGFrameSystem:
+    return gen_bi_g_frame(
+        GenSpec(7, (3, 5, 2), seed, "prescribed_operator"), random_hermitian_pd(7, 9)
+    )
+
+
+def _own_coefficients(pair, f, side, tol):
+    """The particular solution and two null-space draws, as ``bgf identity --perturb 2``
+    makes them."""
+    particular, nullbasis = solve_synthesis_coefficients(pair, f, side, tol)
+    rng = np.random.default_rng(0)
+    return [particular, *(_perturbed(particular, nullbasis, rng) for _ in range(2))]
+
+
+def test_identity_accepts_its_own_coefficients_at_a_tight_tol():
+    # At tol 1e-15 an absolute gate tol (1 + ||f||) refused 14 of these draws,
+    # whose synthesis residual is rounding of order eps ||Gamma||_F ||g||.
+    e1 = np.eye(7)[0]
+    checked = 0
+    for seed in range(60):
+        pair = _prescribed_7(seed)
+        if not classify_bi_g_frame(pair, 1e-15).is_frame:
+            continue
+        for side in ("gamma", "lambda"):
+            for g in _own_coefficients(pair, e1, side, 1e-15):
+                coefficient_identity_terms(pair, e1, g, side, 1e-15)
+                checked += 1
+    assert checked >= 60
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    k=st.integers(-400, 400),
+    side=st.sampled_from(["gamma", "lambda"]),
+    tol=st.sampled_from([1e-15, DEFAULT_TOL]),
+)
+def test_identity_gate_is_invariant_under_rescaling(seed, k, side, tol):
+    # A Gram pair is a frame at any tol; scaling g and f by 2^k is exact, and so
+    # is the gate's verdict: own coefficients pass, a miss of 1e-6 is refused.
+    lam = gen_g_frame(GenSpec(7, (3, 5, 2), seed))
+    pair = BiGFrameSystem(lam, lam)
+    f = random_complex_vector(np.random.default_rng(seed), 7)
+    own = _own_coefficients(pair, f, side, tol)[-1].to_flat()
+    miss = own + 1e-6 * np.eye(own.shape[0])[0]
+    for flat, accepted in ((own, True), (miss, False)):
+        for scale in (1.0, 2.0**k):
+            g = CoefficientSequence.from_flat(scale * flat, lam.block_dims)
+            try:
+                coefficient_identity_terms(pair, scale * f, g, side, tol)
+            except ConstraintViolated:
+                assert not accepted
+            else:
+                assert accepted
+
+
+def test_reconstruct_of_a_gram_pair_is_within_the_rounding_bound():
+    # At 1e-16 the relative residual of e1 exceeds tol in both variants, but not
+    # tol ||Lambda||_F ||Gamma||_F ||H^-1||, the gate bgf reconstruct applies.
+    e1 = np.eye(7)[0]
+    for seed in range(60):
+        lam = gen_g_frame(GenSpec(7, (3, 5, 2), seed))
+        pair = BiGFrameSystem(lam, lam)
+        report = classify_bi_g_frame(pair, 1e-16)
+        scale = np.linalg.norm(stacked_analysis_matrix(lam)) ** 2 * report.inverse_norm
+        for variant in (1, 2):
+            assert np.linalg.norm(reconstruct(pair, e1, variant, 1e-16) - e1) <= 1e-16 * scale
 
 
 PAIR_KINDS = ("prescribed_operator", "rank_deficient", "non_hermitian_pair")

@@ -249,15 +249,17 @@ def test_an_inverse_beyond_the_double_range_is_a_numerical_failure(capsys, tmp_p
     assert not out_path.exists()
 
 
-def test_gcheck_at_a_subnormal_lower_bound_is_a_frame(capsys, tmp_path):
-    # The single-family route forms no inverse; it reports the frame as before.
+def test_gcheck_at_a_subnormal_lower_bound_is_a_numerical_failure(capsys, tmp_path):
+    # A single family is the pair (Lambda, Lambda): S = diag(1, 1e-310), whose
+    # inverse norm is beyond the double range, as for the pair above.
     path = tmp_path / "thin.json"
     family = GFrameSystem(2, (np.diag([1.0, 1e-155]),))
     save_frame_file(path, FrameFile(dim=2, systems={"L": family}, vectors={}))
     code, out, err = run_cli(capsys, "gcheck", str(path), "--system", "L", "--tol", "1e-320")
-    doc = json.loads(out)
-    assert code == 0 and doc["verdicts"]["is_frame"] and "inverse_norm" not in doc
-    assert "Warning" not in err
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: H^-1 overflows: smallest eigenvalue" in err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def test_undecodable_input_names_its_path(capsys, tmp_path):
@@ -425,10 +427,11 @@ def test_identity_rejects_negative_perturb(capsys, instance_a_file):
     assert "nonnegative" in captured.err
 
 
-def test_identity_rounding_is_a_numerical_failure(capsys, tmp_path):
-    """The command's own perturbed coefficients miss the synthesis check at
-    ``--tol 1e-15``: their residual is rounding of the order eps ||Lambda||,
-    here about 5e-13. That is a numerical failure, not an input error."""
+def test_identity_accepts_its_own_coefficients_at_a_tight_tol(capsys, tmp_path):
+    """The command's own perturbed coefficients synthesize the vector up to
+    rounding of the order eps ||Lambda||_F ||g||, here about 5e-13 at
+    ``--tol 1e-15``. The gate reads that residual as a backward error, so it
+    passes; an absolute gate ``tol (1 + ||f||)`` refused it (exit 3)."""
     rng = np.random.default_rng(0)
     blocks = tuple(1e3 * (rng.standard_normal((m, 4)) + 1j * rng.standard_normal((m, 4)))
                    for m in (2, 3, 2))
@@ -437,10 +440,57 @@ def test_identity_rounding_is_a_numerical_failure(capsys, tmp_path):
     write_pair_file(path, BiGFrameSystem(lam, lam))
     argv = ["identity", str(path), "--pair", "L,G", "--vector", "e1", "--perturb", "2"]
     code, out, err = run_cli(capsys, *argv, "--tol", "1e-15")
-    assert code == 3
-    assert out == ""
-    assert "numerical failure: coefficients do not synthesize the vector" in err
+    assert code == 0 and json.loads(out)["ok"]
+    assert "numerical failure" not in err
     assert run_cli(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("seed", [10, 11])
+def test_identity_of_a_prescribed_pair_at_a_tight_tol_succeeds(capsys, tmp_path, seed):
+    # Prescribed (7; 3,5,2) pairs whose own second draw on the lambda side missed
+    # the absolute gate at --tol 1e-15 (exit 3, "numerical failure").
+    target = tmp_path / "P.json"
+    save_matrix(target, random_hermitian_pd(7, seed=9))
+    path = str(tmp_path / "p.json")
+    gen = ["--dim", "7", "--dims", "3,5,2", "--seed", str(seed), "--target-op", str(target)]
+    assert run_cli(capsys, "gen", *gen, "--out", path)[0] == 0
+    for side in ("lambda", "both"):
+        code, out, err = run_cli(
+            capsys, "identity", path, "--pair", "L,G", "--vector", "e1", "--perturb", "2",
+            "--side", side, "--tol", "1e-15",
+        )
+        assert code == 0 and json.loads(out)["ok"]
+        assert "numerical failure" not in err
+
+
+@pytest.mark.parametrize("variant", ["1", "2"])
+def test_reconstruct_of_a_gram_pair_at_a_tight_tol_succeeds(capsys, tmp_path, variant):
+    # The relative residual of e1 is above --tol 1e-16 here, and an absolute gate
+    # exited 3; it lies below tol ||Lambda||_F ||Gamma||_F ||H^-1||, the rounding bound.
+    for seed in range(4):
+        path = str(tmp_path / f"g{seed}.json")
+        gen = ["--dim", "7", "--dims", "3,5,2", "--seed", str(seed), "--out", path]
+        assert run_cli(capsys, "gen", *gen)[0] == 0
+        code, out, err = run_cli(
+            capsys, "reconstruct", path, "--pair", "L,L", "--vector", "e1",
+            "--variant", variant, "--tol", "1e-16",
+        )
+        doc = json.loads(out)
+        assert code == 0 and doc["ok"] and doc["max_residual"] > 1e-16
+        assert "numerical failure" not in err
+
+
+@pytest.mark.parametrize("tol", ["1e-16", "1e-9"])
+@pytest.mark.parametrize("seed", [0, 21, 50])
+def test_a_gram_pair_checks_as_its_single_family(capsys, tmp_path, tol, seed):
+    # Seeds 21 and 50 read "not Bessel" as the pair L,L at 1e-16 under a Hermitian gate.
+    path = str(tmp_path / "g.json")
+    run_cli(capsys, "gen", "--dim", "7", "--dims", "3,5,2", "--seed", str(seed), "--out", path)
+    pair = json.loads(run_cli(capsys, "check", path, "--pair", "L,L", "--tol", tol)[1])
+    single = json.loads(run_cli(capsys, "gcheck", path, "--system", "L", "--tol", tol)[1])
+    del single["verdicts"]["is_riesz"]
+    for key in ("verdicts", "hermitian_deviation", "bounds"):
+        assert pair[key] == single[key]
 
 
 # ---------------------------------------------------------------------------

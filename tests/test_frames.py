@@ -18,6 +18,7 @@ from bgframes import (
     synthesis_matrix,
 )
 from conftest import random_complex_vector
+from oracles import controlled_verdicts
 
 ORTHO_2 = VectorFrame(2, (np.array([1.0, 0.0]), np.array([0.0, 1.0])))
 REDUNDANT = VectorFrame(
@@ -222,6 +223,33 @@ def test_controlled_operator_equals_weighted_sum():
             inner(f, v) * inner(c @ v, f) for v in frame.vectors
         )
         assert abs(weighted - inner(s_c @ f, f)) <= 1e-10 * max(1.0, abs(weighted))
+
+
+def test_controlled_verdicts_match_the_plain_operator_oracle():
+    # The pair (F, C F) rounds C S otherwise than C @ (F F^H): verdicts agree, and
+    # bounds within 8 eps of the top. C = I + a S / ||S|| commutes with S, so C S
+    # is Hermitian; every fifth C is a random matrix, and F has n - 1 to n + 3 vectors.
+    eps = np.finfo(float).eps
+    counts = {}
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 4
+        frame = VectorFrame(
+            n, tuple(random_complex_vector(rng, n) for _ in range(n - 1 + seed % 5))
+        )
+        s = frame_operator(frame)
+        c = np.eye(n) + rng.uniform(0.1, 2.0) * s / np.linalg.norm(s)
+        if seed % 5 == 4:
+            c = np.eye(n) + 0.5 * rng.standard_normal((n, n))
+        sys = ControlledSystem(frame, c)
+        report = classify_controlled(sys)
+        is_bessel, is_frame, lower, upper = controlled_verdicts(sys)
+        assert (report.is_bessel, report.is_frame) == (is_bessel, is_frame), seed
+        if is_frame:
+            assert abs(report.bounds.lower - lower) <= 8 * eps * upper, seed
+            assert abs(report.bounds.upper - upper) <= 8 * eps * upper, seed
+        counts[is_bessel, is_frame] = counts.get((is_bessel, is_frame), 0) + 1
+    assert set(counts) == {(False, False), (True, False), (True, True)}, counts
 
 
 def test_controlled_rejects_singular_controller():

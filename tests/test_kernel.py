@@ -249,8 +249,8 @@ def test_a_refused_tol_keeps_the_prepared_pair():
 
 
 def test_an_inverse_beyond_the_double_range_is_a_numerical_failure():
-    # The frame gate at tol 0 passes a subnormal lower bound; H^-1 then
-    # overflows, and the factor refuses it instead of keeping inf and NaN.
+    # The frame gate at tol 0 passes a subnormal lower bound; ||H^-1|| = 1/lo
+    # then overflows, and the report refuses it instead of keeping inf and NaN.
     pair = subnormal_edge_pair()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -258,7 +258,20 @@ def test_an_inverse_beyond_the_double_range_is_a_numerical_failure():
             with pytest.raises(np.linalg.LinAlgError, match="smallest eigenvalue 1.000000e-310"):
                 call(pair, tol=0.0)
     assert pair._prepared is None
-    # A single family factors nothing: its report at the same edge stands.
+    # A single family is the pair (Lambda, Lambda): its report at the same edge
+    # would carry an infinite inverse norm, so it is refused the same way.
     single = GFrameSystem(2, (np.diag([1.0, 1e-155]),))
-    lower = classify_g_frame(single, tol=0.0).bounds.lower
-    assert lower == pytest.approx(1e-310, rel=1e-9, abs=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match=r"H\^-1 overflows: smallest eigenvalue"):
+            classify_g_frame(single, tol=0.0)
+
+
+def test_the_factor_refuses_an_overflowing_inverse_by_itself():
+    # The report now refuses an infinite 1/lo first; the factor's own check stays
+    # as the safety net for an operator whose H^-1 overflows all the same.
+    report = _spectral_report(np.eye(2), 0.0, hermitian_gates_bessel=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match=r"H\^-1 overflows"):
+            CholeskyFactor.of(np.diag([1.0, 1e-310]), report)

@@ -148,3 +148,19 @@ def test_only_kernel_takes_spectra_and_factors():
                   for a in node.names}
         if path.stem != "kernel":
             assert not names & {"eigvalsh", "cholesky"}, path.stem
+
+
+def test_verdicts_go_through_one_core():
+    # Outside the kernel only the pair core (bigframes._classify) and the target
+    # check of gen_bi_g_frame read a spectral report directly.
+    package = Path(bgframes.__file__).parent
+    readers = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for a in node.names}
+        if "_spectral_report" in names and path.stem != "kernel":
+            readers.add(path.stem)
+    assert readers == {"bigframes", "generators"}
