@@ -9,6 +9,8 @@ is a bi-g-frame exactly when ``S`` is Hermitian (within tolerance) and
 positive definite; the optimal constants are the spectrum edges of ``S``.
 Every verdict in the package is read by :func:`_classify`: a g-frame is the
 pair ``(Lambda, Lambda)``, and a controlled system ``(F, C F)``, of operator ``C S``.
+A pair keeps what :func:`_prepare` returns, its report, factor and null bases, for
+one ``tol``; each public pair function reads that directly, with no per-call object.
 """
 
 from __future__ import annotations
@@ -77,96 +79,6 @@ def bi_g_frame_operator(sys: BiGFrameSystem) -> np.ndarray:
     return stacked_analysis_matrix(sys.gam).conj().T @ stacked_analysis_matrix(sys.lam)
 
 
-@dataclass(frozen=True, eq=False)
-class _PreparedPair:
-    """A pair's verdicts and, for a frame, the Cholesky factor of the Hermitian
-    part H of its operator S, which S* shares, and the null bases built so far,
-    by side. The pair operations are methods that read ``report.tolerance`` and
-    check their arguments before the frame gate."""
-
-    sys: BiGFrameSystem
-    report: ClassifyReport
-    factor: CholeskyFactor | None
-    bases: dict
-
-    def _gated(self) -> CholeskyFactor:
-        """The factor; raises ``NotBiGFrame`` unless the pair is a bi-g-frame,
-        naming the gate that decided: the Hermitian deviation or the spectrum edges."""
-        if self.factor is None:
-            report = self.report
-            if report.is_bessel:
-                lo, hi = report._edges
-                reason = f"smallest eigenvalue {lo:.3e} (largest {hi:.3e})"
-            else:
-                reason = f"hermitian deviation {report.hermitian_deviation:.3e}"
-            raise NotBiGFrame(
-                f"pair is not a bi-g-frame: {reason}, tol {report.tolerance:.3e}", report=report
-            )
-        return self.factor
-
-    def _families(self, side: str) -> tuple:
-        """``(analysis, synthesis)``: ``(Lambda, Gamma)`` on the gamma side, else swapped."""
-        if side not in ("gamma", "lambda"):
-            raise ValueError(f"side must be 'gamma' or 'lambda', got {side!r}")
-        sys = self.sys
-        return (sys.lam, sys.gam) if side == "gamma" else (sys.gam, sys.lam)
-
-    def dual(self) -> BiGFrameSystem:
-        """``Lambda H^-1`` and ``Gamma H^-1``: one right solve of each analysis matrix, uncopied."""
-        sys, factor = self.sys, self._gated()
-        lam, gam = (factor.solve_rows(stacked_analysis_matrix(s)) for s in (sys.lam, sys.gam))
-        return BiGFrameSystem(
-            GFrameSystem._of_stacked(sys.dim, lam, sys.block_dims),
-            GFrameSystem._of_stacked(sys.dim, gam, sys.block_dims),
-        )
-
-    def reconstruct(self, vectors, variant: int) -> list:
-        """The columns of V, ``vectors``, rebuilt with one solve as ``Gamma^H Lambda H^-1 V``
-        (variant 1) or ``H^-1 Gamma^H Lambda V`` (2); ``Gamma^H Y`` is ``conj(Y^H Gamma)``."""
-        if variant not in (1, 2):
-            raise ValueError(f"variant must be 1 or 2, got {variant!r}")
-        v = np.column_stack([_check_vector(self.sys, f) for f in vectors])
-        a_lam, a_gam = stacked_analysis_matrix(self.sys.lam), stacked_analysis_matrix(self.sys.gam)
-        y = a_lam @ (self._gated().solve(v) if variant == 1 else v)
-        rows = np.conj(y.conj().T @ a_gam)
-        return list(rows if variant == 1 else self._gated().solve(rows.T).T)
-
-    def particular(self, f, side: str) -> CoefficientSequence:
-        """The dual-analysis coefficients of ``f`` on ``side``."""
-        analysis, _ = self._families(side)
-        v = _check_vector(self.sys, f)
-        return g_analysis(analysis, self._gated().solve(v))
-
-    def null_basis(self, side: str) -> list:
-        """An orthonormal basis of the null space of ``side``'s synthesis map: the last
-        ``sum m_j - n`` columns of a complete QR of the stacked family, of rank n as S is.
-        Built on the first call for ``side`` and kept; each call returns a new list."""
-        _, synthesis = self._families(side)
-        self._gated()
-        basis = self.bases.get(side)
-        if basis is None:
-            q, _ = np.linalg.qr(stacked_analysis_matrix(synthesis), mode="complete")
-            rows = np.ascontiguousarray(q[:, self.sys.dim:].T)
-            basis = self.bases[side] = CoefficientSequence._of_rows(rows, self.sys.block_dims)
-        return list(basis)
-
-    def identity_terms(self, f, g: CoefficientSequence, side: str) -> tuple:
-        _, synthesis = self._families(side)
-        v = _check_vector(self.sys, f)
-        residual = float(np.linalg.norm(g_synthesis(synthesis, g) - v))
-        lhs = g.norm_sq()
-        if residual > self.report.tolerance * (synthesis._frobenius * lhs**0.5 + np.linalg.norm(v)):
-            raise ConstraintViolated(
-                f"coefficients do not synthesize the vector: residual {residual:.3e}"
-            )
-        y = self._gated().solve(v)
-        lam_y = stacked_analysis_matrix(self.sys.lam) @ y
-        gam_y = stacked_analysis_matrix(self.sys.gam) @ y
-        c = g.to_flat()
-        first = inner(c, c - gam_y) if side == "gamma" else inner(c - lam_y, c)
-        return lhs, first + inner(lam_y, gam_y)
-
-
 def _classify(sys: BiGFrameSystem, tol: float) -> tuple:
     """``(S, report)``; the Hermitian gate is off exactly when the families are equal."""
     op = bi_g_frame_operator(sys)
@@ -174,17 +86,40 @@ def _classify(sys: BiGFrameSystem, tol: float) -> tuple:
     return op, _spectral_report(op, tol, hermitian_gates_bessel=not gram)
 
 
-def _prepare(sys: BiGFrameSystem, tol: float) -> _PreparedPair:
-    """:func:`_classify` and (for frames) one factor: the spectrum edges are both
-    the frame verdict and the factor's gate.
-    Kept on ``sys`` for the last ``tol`` only, and only once the factor is built,
-    with an empty dict in which each side's null basis is kept once built."""
+def _prepare(sys: BiGFrameSystem, tol: float) -> tuple:
+    """``(report, factor, bases)``: :func:`_classify` and, for frames, one Cholesky
+    factor of the Hermitian part H of S, which S* shares; the spectrum edges are
+    both the frame verdict and the factor's gate. Kept on ``sys`` for the last
+    ``tol`` only, and only once the factor is built; ``bases`` starts empty and
+    keeps each side's null basis once built."""
     kept = sys._prepared
     if kept is None or kept[0] != tol:
         op, report = _classify(sys, tol)
         kept = (tol, report, CholeskyFactor.of(op, report) if report.is_frame else None, {})
         object.__setattr__(sys, "_prepared", kept)
-    return _PreparedPair(sys, *kept[1:])
+    return kept[1:]
+
+
+def _factor(report: ClassifyReport, factor: CholeskyFactor | None) -> CholeskyFactor:
+    """``factor``; raises ``NotBiGFrame`` unless the pair is a bi-g-frame, naming
+    the gate that decided: the Hermitian deviation or the spectrum edges."""
+    if factor is None:
+        if report.is_bessel:
+            lo, hi = report._edges
+            reason = f"smallest eigenvalue {lo:.3e} (largest {hi:.3e})"
+        else:
+            reason = f"hermitian deviation {report.hermitian_deviation:.3e}"
+        raise NotBiGFrame(
+            f"pair is not a bi-g-frame: {reason}, tol {report.tolerance:.3e}", report=report
+        )
+    return factor
+
+
+def _families(sys: BiGFrameSystem, side: str) -> tuple:
+    """``(analysis, synthesis)``: ``(Lambda, Gamma)`` on the gamma side, else swapped."""
+    if side not in ("gamma", "lambda"):
+        raise ValueError(f"side must be 'gamma' or 'lambda', got {side!r}")
+    return (sys.lam, sys.gam) if side == "gamma" else (sys.gam, sys.lam)
 
 
 def classify_bi_g_frame(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> ClassifyReport:
@@ -193,7 +128,7 @@ def classify_bi_g_frame(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> Classi
     real inequality forces real pairing sums. The rest comes from the spectrum
     edges; ``inverse_norm`` is ``||H^-1|| = 1/C``, H the Hermitian part of S and C
     the lower bound. ``is_riesz`` is ``None``: pair reports do not compute it."""
-    return _prepare(sys, tol).report
+    return _prepare(sys, tol)[0]
 
 
 def classify_g_frame(sys: GFrameSystem, tol: float = DEFAULT_TOL) -> ClassifyReport:
@@ -214,11 +149,16 @@ def canonical_pair(sys: BiGFrameSystem, tol: float = DEFAULT_TOL) -> BiGFrameSys
     Both reconstruction identities hold against the source pair. S and S*
     share their Hermitian part H, so both families come from one Cholesky
     factor of H, each as one right solve ``A H^-1`` of its analysis matrix A,
-    and the dual pair's own operator is ``H^-1 S H^-1``: ``S^-1`` for a Hermitian
-    S. Raises ``NotBiGFrame`` when the pair operator is not Hermitian positive
-    definite within ``tol``.
+    uncopied, and the dual pair's own operator is ``H^-1 S H^-1``: ``S^-1`` for a
+    Hermitian S. Raises ``NotBiGFrame`` when the pair operator is not Hermitian
+    positive definite within ``tol``.
     """
-    return _prepare(sys, tol).dual()
+    factor = _factor(*_prepare(sys, tol)[:2])
+    lam, gam = (factor.solve_rows(stacked_analysis_matrix(s)) for s in (sys.lam, sys.gam))
+    return BiGFrameSystem(
+        GFrameSystem._of_stacked(sys.dim, lam, sys.block_dims),
+        GFrameSystem._of_stacked(sys.dim, gam, sys.block_dims),
+    )
 
 
 def reconstruct(sys: BiGFrameSystem, f, variant: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -230,7 +170,21 @@ def reconstruct(sys: BiGFrameSystem, f, variant: int, tol: float = DEFAULT_TOL) 
     H the Hermitian part of S, is applied once: to ``f`` in variant 1, and to
     ``Gamma^H Lambda f`` in variant 2, as ``(Gamma_j (S*)^-1)* = H^-1 Gamma_j*``.
     """
-    return _prepare(sys, tol).reconstruct([f], variant)[0]
+    return _reconstruct(sys, [f], variant, tol)[0]
+
+
+def _reconstruct(sys: BiGFrameSystem, vectors, variant: int, tol: float) -> list:
+    """:func:`reconstruct` of each of ``vectors``, the columns of V, with one solve:
+    ``Gamma^H Lambda H^-1 V`` (variant 1) or ``H^-1 Gamma^H Lambda V`` (2), where
+    ``Gamma^H Y`` is ``conj(Y^H Gamma)``."""
+    report, factor, _ = _prepare(sys, tol)
+    if variant not in (1, 2):
+        raise ValueError(f"variant must be 1 or 2, got {variant!r}")
+    v = np.column_stack([_check_vector(sys, f) for f in vectors])
+    solve = _factor(report, factor).solve
+    y = stacked_analysis_matrix(sys.lam) @ (solve(v) if variant == 1 else v)
+    rows = np.conj(y.conj().T @ stacked_analysis_matrix(sys.gam))
+    return list(rows if variant == 1 else solve(rows.T).T)
 
 
 def solve_synthesis_coefficients(
@@ -250,8 +204,15 @@ def solve_synthesis_coefficients(
     The basis depends on the pair alone: it is built once per pair, side and
     ``tol``, and every call returns a new list of the same read-only sequences.
     """
-    prepared = _prepare(sys, tol)
-    return prepared.particular(f, side), prepared.null_basis(side)
+    report, factor, bases = _prepare(sys, tol)
+    analysis, synthesis = _families(sys, side)
+    v = _check_vector(sys, f)
+    particular = g_analysis(analysis, _factor(report, factor).solve(v))
+    if side not in bases:
+        q, _ = np.linalg.qr(stacked_analysis_matrix(synthesis), mode="complete")
+        rows = np.ascontiguousarray(q[:, sys.dim:].T)
+        bases[side] = CoefficientSequence._of_rows(rows, sys.block_dims)
+    return particular, list(bases[side])
 
 
 def coefficient_identity_terms(
@@ -270,7 +231,21 @@ def coefficient_identity_terms(
     them. Returns ``(lhs, rhs)`` as (float, complex); raises ``ConstraintViolated``
     when ``||Gamma^H g - f|| > tol (||Gamma||_F ||g|| + ||f||)`` (``Lambda`` on that side).
     """
-    return _prepare(sys, tol).identity_terms(f, g, side)
+    report, factor, _ = _prepare(sys, tol)
+    _, synthesis = _families(sys, side)
+    v = _check_vector(sys, f)
+    residual = float(np.linalg.norm(g_synthesis(synthesis, g) - v))
+    lhs = g.norm_sq()
+    if residual > tol * (synthesis._frobenius * lhs**0.5 + np.linalg.norm(v)):
+        raise ConstraintViolated(
+            f"coefficients do not synthesize the vector: residual {residual:.3e}"
+        )
+    y = _factor(report, factor).solve(v)
+    lam_y = stacked_analysis_matrix(sys.lam) @ y
+    gam_y = stacked_analysis_matrix(sys.gam) @ y
+    c = g.to_flat()
+    first = inner(c, c - gam_y) if side == "gamma" else inner(c - lam_y, c)
+    return lhs, first + inner(lam_y, gam_y)
 
 
 def lift_to_biframe(sys: BiGFrameSystem) -> tuple:

@@ -23,7 +23,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bigframes import BiGFrameSystem, _prepare, classify_g_frame, lift_to_biframe
+from .bigframes import (
+    BiGFrameSystem,
+    _reconstruct,
+    canonical_pair,
+    classify_bi_g_frame,
+    classify_g_frame,
+    coefficient_identity_terms,
+    lift_to_biframe,
+    solve_synthesis_coefficients,
+)
 from .errors import ConstraintViolated, FrameToolError, SchemaError
 from .fileio import FrameFile, dumps_json, load_frame_file, load_matrix, save_frame_file
 from .frames import classify_biframe
@@ -103,17 +112,18 @@ def _emit(doc) -> None:
 
 def _open(args):
     """Tolerance, one read of the input, every lookup and the report's opening
-    fields, then the pair's preparation: a missing name exits 2 even where the
+    fields, then the classification: a missing name exits 2 even where the
     factorization would break down. ``input_sha256`` hashes the bytes parsed,
     before anything is written (``--out`` may name the input). Returns
-    ``(frame_file, prepared pair or gcheck's system, --vector's entry, doc)``."""
+    ``(frame_file, pair or gcheck's system, its report, --vector's entry, doc)``."""
     tol = _tol(args)
     frame_file = load_frame_file(args.file)
     doc = {"command": args.subcommand, "input": args.file,
            "input_sha256": frame_file.sha256, "tolerance": tol}
     if args.subcommand == "gcheck":
         doc["system"] = args.system
-        return frame_file, _lookup(frame_file.systems, "system", args.system, args.file), None, doc
+        system = _lookup(frame_file.systems, "system", args.system, args.file)
+        return frame_file, system, classify_g_frame(system, tol), None, doc
     system = BiGFrameSystem(*(_lookup(frame_file.systems, "system", name, args.file)
                               for name in args.pair))
     doc["pair"] = list(args.pair)
@@ -121,7 +131,7 @@ def _open(args):
     if "vector" in args:
         vectors = _lookup(frame_file.vectors, "vectors entry", args.vector, args.file)
         doc["vector"] = args.vector
-    return frame_file, _prepare(system, tol), vectors, doc
+    return frame_file, system, classify_bi_g_frame(system, tol), vectors, doc
 
 
 def _verdict_doc(report) -> dict:
@@ -143,7 +153,6 @@ def _report(doc, report):
     doc["hermitian_deviation"] = report.hermitian_deviation
     if report.is_frame:
         doc["bounds"] = _bounds_doc(report)
-    return report
 
 
 def _negative(doc, report) -> int:
@@ -169,8 +178,7 @@ def _write_beside(args, frame_file: FrameFile, doc, field: str, suffix: str, ent
 
 def _cmd_check(args) -> int:
     """``check``, or with ``bounds`` only the frame verdict and bounds."""
-    _, prepared, _, doc = _open(args)
-    report = prepared.report
+    _, _, report, _, doc = _open(args)
     if args.subcommand == "bounds":
         doc["is_frame"] = report.is_frame
         if report.is_frame:
@@ -184,34 +192,34 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gcheck(args) -> int:
-    _, system, _, doc = _open(args)
-    report = _report(doc, classify_g_frame(system, doc["tolerance"]))
+    _, _, report, _, doc = _open(args)
+    _report(doc, report)
     doc["verdicts"]["is_riesz"] = report.is_riesz
     _emit(doc)
     return 0 if report.is_frame else 1
 
 
 def _cmd_dual(args) -> int:
-    frame_file, prepared, _, doc = _open(args)
-    if not prepared.report.is_frame:
-        return _negative(doc, prepared.report)
-    dual = prepared.dual()
-    _report(doc, prepared.report)
+    frame_file, pair, report, _, doc = _open(args)
+    if not report.is_frame:
+        return _negative(doc, report)
+    dual = canonical_pair(pair, doc["tolerance"])
+    _report(doc, report)
     _write_beside(args, frame_file, doc, "systems", "~", (dual.lam, dual.gam))
     _emit(doc)
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    _, prepared, vectors, doc = _open(args)
+    _, pair, report, vectors, doc = _open(args)
     doc["variant"] = args.variant
-    if not prepared.report.is_frame:
-        return _negative(doc, prepared.report)
-    rebuilt = prepared.reconstruct(vectors, args.variant)
+    if not report.is_frame:
+        return _negative(doc, report)
+    rebuilt = _reconstruct(pair, vectors, args.variant, doc["tolerance"])
     # Relative to each vector's norm (a zero vector's: absolute), gated as backward errors.
     residuals = [float(np.linalg.norm(r - v)) / (float(np.linalg.norm(v)) or 1.0)
                  for r, v in zip(rebuilt, vectors)]
-    scale = prepared.sys.lam._frobenius * prepared.sys.gam._frobenius * prepared.report.inverse_norm
+    scale = pair.lam._frobenius * pair.gam._frobenius * report.inverse_norm
     ok = all(r <= doc["tolerance"] * scale for r in residuals)
     doc.update(residuals=residuals, max_residual=max(residuals), ok=ok)
     _emit(doc)
@@ -219,10 +227,10 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    frame_file, prepared, _, doc = _open(args)
-    u, v = lift_to_biframe(prepared.sys)
+    frame_file, pair, report, _, doc = _open(args)
+    u, v = lift_to_biframe(pair)
     lift_report = classify_biframe(u, v, doc["tolerance"])
-    doc["pair_verdicts"] = _verdict_doc(prepared.report)
+    doc["pair_verdicts"] = _verdict_doc(report)
     doc["lift_verdicts"] = _verdict_doc(lift_report)
     doc["verdicts_agree"] = doc["pair_verdicts"] == doc["lift_verdicts"]
     if lift_report.is_frame:
@@ -271,20 +279,21 @@ def _perturbed(particular, nullbasis, rng) -> CoefficientSequence:
 
 
 def _cmd_identity(args) -> int:
-    _, prepared, vectors, doc = _open(args)
+    _, pair, report, vectors, doc = _open(args)
     tol = doc["tolerance"]
     doc["perturbations"] = args.perturb
-    if not prepared.report.is_frame:
-        return _negative(doc, prepared.report)
+    if not report.is_frame:
+        return _negative(doc, report)
     sides = ("gamma", "lambda") if args.side == "both" else (args.side,)
     results = []
     for index, vec in enumerate(vectors):
         for side in sides:
-            particular, nullbasis = prepared.particular(vec, side), prepared.null_basis(side)
+            particular, nullbasis = solve_synthesis_coefficients(pair, vec, side, tol)
             rng = np.random.default_rng(_IDENTITY_SEED + index)
             draws = [_perturbed(particular, nullbasis, rng) for _ in range(args.perturb)]
             try:
-                terms = [prepared.identity_terms(vec, g, side) for g in (particular, *draws)]
+                terms = [coefficient_identity_terms(pair, vec, g, side, tol)
+                         for g in (particular, *draws)]
             except ConstraintViolated as exc:  # own coefficients: numerical, not input
                 print(f"numerical failure: {exc}", file=sys.stderr)
                 return 3

@@ -68,10 +68,11 @@ def canonical_dual(frame: VectorFrame) -> VectorFrame:
 
 
 def check_duality(f: VectorFrame, g: VectorFrame, tol: float = DEFAULT_TOL) -> bool:
-    """True when ``sum_j g_j f_j* = I`` within ``tol`` relative to ``||I||_F = sqrt(n)``
-    (Frobenius); then so is its adjoint ``sum_j f_j g_j*``, at the same distance from I."""
-    op = bi_g_frame_operator(from_vector_biframe(f, g))
-    return bool(np.linalg.norm(op - np.eye(f.dim)) <= tol * np.sqrt(f.dim))
+    """True when ``||sum_j g_j f_j* - I||_F <= tol ||F||_F ||G||_F``, a normwise backward
+    error of the product; then so is its adjoint ``sum_j f_j g_j*``, at the same distance."""
+    pair = from_vector_biframe(f, g)
+    residual = np.linalg.norm(bi_g_frame_operator(pair) - np.eye(f.dim))
+    return bool(residual <= tol * pair.lam._frobenius * pair.gam._frobenius)
 
 
 def check_controlled_duality(

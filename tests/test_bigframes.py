@@ -39,7 +39,7 @@ from bgframes import (
     stacked_analysis_matrix,
     swap,
 )
-from bgframes.bigframes import _prepare
+from bgframes.bigframes import _prepare, _reconstruct
 from bgframes.cli import _perturbed
 from bgframes.kernel import CholeskyFactor
 from conftest import (
@@ -728,7 +728,7 @@ def test_reconstruct_of_several_vectors_matches_the_reference(variant):
     pair = _prescribed_pair(16, (4,) * 8)
     rng = np.random.default_rng(variant)
     vectors = [random_complex_vector(rng, 16) for _ in range(3)]
-    rebuilt = _prepare(pair, DEFAULT_TOL).reconstruct(vectors, variant)
+    rebuilt = _reconstruct(pair, vectors, variant, DEFAULT_TOL)
     assert len(rebuilt) == len(vectors)
     for actual, f in zip(rebuilt, vectors):
         _assert_rel(actual, _reference_reconstruct(pair, f, variant))
@@ -755,11 +755,10 @@ def test_reconstruct_solves_once_on_the_vectors(solve_shapes, variant, count):
     """One solve with one column per vector, never one against a whole family
     (``sum m_j = 32`` columns), whichever variant."""
     pair = _prescribed_pair(16, (4,) * 8)
-    prepared = _prepare(pair, DEFAULT_TOL)
     rng = np.random.default_rng(count)
     vectors = [random_complex_vector(rng, 16) for _ in range(count)]
     solve_shapes.clear()
-    prepared.reconstruct(vectors, variant)
+    _reconstruct(pair, vectors, variant, DEFAULT_TOL)
     one_column = [(16, count)] + ([(16,)] if count == 1 else [])
     assert len(solve_shapes) == 1 and solve_shapes[0] in one_column
     assert all(sum(pair.block_dims) not in shape[1:] for shape in solve_shapes)
@@ -770,7 +769,7 @@ def test_reconstruct_solves_once_on_the_vectors(solve_shapes, variant, count):
 
 def test_a_factor_keeps_two_square_arrays():
     pair = _prescribed_pair(16, (4,) * 8)
-    factor = _prepare(pair, DEFAULT_TOL).factor
+    _, factor, _ = _prepare(pair, DEFAULT_TOL)
     kept = [v for v in vars(factor).values() if isinstance(v, np.ndarray)]
     assert len(vars(factor)) == len(kept) == 2
     assert all(a.shape == (16, 16) for a in kept)
@@ -781,7 +780,8 @@ def _stacked_dual(pair, tol=DEFAULT_TOL) -> list:
     families stacked, conjugated and transposed, in one left solve against the
     pair's factor, whose result is conjugated and transposed back."""
     stacked = np.vstack([stacked_analysis_matrix(f) for f in (pair.lam, pair.gam)])
-    return np.split(_prepare(pair, tol).factor.solve(stacked.conj().T).conj().T, 2)
+    _, factor, _ = _prepare(pair, tol)
+    return np.split(factor.solve(stacked.conj().T).conj().T, 2)
 
 
 # (64, 32 x 4) as the benchmark runs it, (7; 3,5,2) and a small (5; 2,2,3) pair.
@@ -967,14 +967,13 @@ def test_null_basis_needs_a_bi_g_frame(lapack_calls, side):
     for pair in (NONHERM, rank_deficient):
         messages = set()
         for _ in range(3):
-            prepared = _prepare(pair, 1e-9)
             with pytest.raises(NotBiGFrame) as exc:
-                prepared.null_basis(side)
+                solve_synthesis_coefficients(pair, np.ones(pair.dim), side, 1e-9)
             messages.add(str(exc.value))
             with pytest.raises(ValueError, match="side must be"):
-                prepared.null_basis("both")
+                solve_synthesis_coefficients(pair, np.ones(pair.dim), "both", 1e-9)
         assert len(messages) == 1
-        assert prepared.bases == {}
+        assert _prepare(pair, 1e-9)[2] == {}
     assert lapack_calls["qr"] == 0
 
 
@@ -1124,7 +1123,7 @@ def test_a_kept_null_basis_is_what_a_fresh_pair_computes(lapack_calls):
         _, second = solve_synthesis_coefficients(pair, f, side)
         assert second is not first and all(a is b for a, b in zip(first, second))
         first.clear()
-        assert len(_prepare(pair, 1e-9).null_basis(side)) == len(second) == 10 - 8
+        assert len(_prepare(pair, 1e-9)[2][side]) == len(second) == 10 - 8
         _, fresh = solve_synthesis_coefficients(BiGFrameSystem(pair.lam, pair.gam), f, side)
         assert len(fresh) == len(second)
         assert all(np.array_equal(a, b) for a, b in zip(_flats(second), _flats(fresh)))
@@ -1137,14 +1136,18 @@ def test_a_new_tol_builds_the_null_basis_again(lapack_calls):
     pair = gen_bi_g_frame(
         GenSpec(6, (2, 3, 4), 29, "prescribed_operator"), random_hermitian_pd(6, 29)
     )
+
+    def null_basis(tol):
+        return solve_synthesis_coefficients(pair, np.ones(6), "gamma", tol)[1]
+
     lapack_calls.clear()
-    kept = _prepare(pair, 1e-9).null_basis("gamma")
-    _prepare(pair, 1e-9).null_basis("gamma")
+    kept = null_basis(1e-9)
+    null_basis(1e-9)
     assert lapack_calls["qr"] == 1
-    other = _prepare(pair, 1e-8).null_basis("gamma")
-    _prepare(pair, 1e-8).null_basis("gamma")
+    other = null_basis(1e-8)
+    null_basis(1e-8)
     assert lapack_calls["qr"] == 2
-    again = _prepare(pair, 1e-9).null_basis("gamma")
+    again = null_basis(1e-9)
     assert lapack_calls["qr"] == 3
     assert not any(a is b for a, b in zip(kept, other))
     assert all(np.array_equal(a, b) for a, b in zip(_flats(kept), _flats(again)))
@@ -1154,16 +1157,19 @@ def test_swap_and_dual_do_not_share_the_null_bases():
     pair = gen_bi_g_frame(
         GenSpec(6, (3, 3, 2), 31, "prescribed_operator"), random_hermitian_pd(6, 31)
     )
-    prepared = _prepare(pair, 1e-9)
-    kept = {side: prepared.null_basis(side) for side in ("gamma", "lambda")}
+
+    def null_basis(pair, side):
+        return solve_synthesis_coefficients(pair, np.ones(6), side, 1e-9)[1]
+
+    kept = {side: null_basis(pair, side) for side in ("gamma", "lambda")}
     swapped, dual = swap(pair), canonical_pair(pair)
     assert swapped._prepared is None and dual._prepared is None
     # Swapping the families swaps the sides: the same rows, in new sequences.
-    mirrored = _prepare(swapped, 1e-9).null_basis("gamma")
+    mirrored = null_basis(swapped, "gamma")
     assert all(np.array_equal(a, b) for a, b in zip(_flats(mirrored), _flats(kept["lambda"])))
     assert not any(a is b for a, b in zip(mirrored, kept["lambda"]))
-    assert _prepare(dual, 1e-9).bases == {}
-    _prepare(dual, 1e-9).null_basis("gamma")
+    assert _prepare(dual, 1e-9)[2] == {}
+    null_basis(dual, "gamma")
     assert pair._prepared[3].keys() == {"gamma", "lambda"}
     for side, basis in kept.items():
         assert all(a is b for a, b in zip(pair._prepared[3][side], basis))
@@ -1208,3 +1214,25 @@ def test_cholesky_breakdown_past_the_gate_raises_linalg_error():
     assert w[0] > 1e-18 * w[-1]
     with pytest.raises(np.linalg.LinAlgError):
         classify_bi_g_frame(pair, tol=1e-18)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pair, tol: reconstruct(pair, np.ones(6), 3, tol),
+        lambda pair, tol: solve_synthesis_coefficients(pair, np.ones(6), "both", tol),
+        lambda pair, tol: solve_synthesis_coefficients(pair, np.ones(5), "gamma", tol),
+        lambda pair, tol: coefficient_identity_terms(
+            pair, np.ones(6), CoefficientSequence((np.ones(6),)), "both", tol
+        ),
+        lambda pair, tol: coefficient_identity_terms(
+            pair, np.ones(5), CoefficientSequence((np.ones(6),)), "gamma", tol
+        ),
+    ],
+    ids=["variant", "side", "short", "identity side", "identity short"],
+)
+def test_preparation_comes_before_the_arguments(call):
+    """Each pair function prepares the pair, then checks its arguments, then
+    passes the frame gate: a breakdown wins over a bad argument."""
+    with pytest.raises(np.linalg.LinAlgError):
+        call(cholesky_breakdown_pair(), 1e-18)

@@ -171,15 +171,22 @@ def test_check_duality_swap_is_not_dual():
     assert check_duality(ORTHO_2, ORTHO_2)
 
 
-def test_check_duality_reads_tol_relative_to_the_identity():
-    # ||op - I||_F is 1.5 tol: within tol * ||I||_F = 2 tol on C^4, not within tol.
+def test_check_duality_reads_tol_as_a_normwise_backward_error():
+    # ||op - I||_F is 3.5 tol: within tol * ||F||_F ||G||_F, about 4 tol on C^4,
+    # where the former bound tol * ||I||_F was 2 tol.
     tol = 1e-6
     basis = VectorFrame(4, tuple(np.eye(4)))
-    for shift, dual in ((1.5 * tol, True), (2.5 * tol, False)):
+    for shift, dual in ((3.5 * tol, True), (4.5 * tol, False)):
         near = VectorFrame(4, tuple(np.diag([1.0 + shift, 1.0, 1.0, 1.0])))
         assert check_duality(basis, near, tol) is dual
         controlled = ControlledSystem(basis, np.diag([1.0 + shift, 1.0, 1.0, 1.0]))
         assert check_controlled_duality(controlled, basis, tol) is dual
+    # A canonical dual passes; scaled by 1 + 1e-6 it is refused at the default tol.
+    rng = np.random.default_rng(8)
+    frame = VectorFrame(5, tuple(random_complex_vector(rng, 5) for _ in range(9)))
+    dual = canonical_dual(frame)
+    assert check_duality(frame, dual)
+    assert not check_duality(frame, VectorFrame(5, tuple((1.0 + 1e-6) * dual._rows)))
 
 
 def test_check_duality_shape_mismatch():

@@ -198,6 +198,35 @@ def test_cholesky_solve_agrees_with_dense_solve(n, cond):
         assert np.linalg.norm(y - ref) <= max(1e-10, 1e-15 * cond) * np.linalg.norm(ref)
 
 
+def _componentwise_backward_error(h, x, b, rows: bool) -> float:
+    """``max_i |r_i| / (|H| |x| + |b|)_i`` (Oettli & Prager, 1964) of ``H x = b``, or of
+    ``x H = b`` for ``rows``, with the residual formed in extended precision."""
+    H, X, B = (np.asarray(a, dtype=np.clongdouble) for a in (h, x, b))
+    residual = np.abs(B - (X @ H if rows else H @ X)).astype(np.float64)
+    scale = (np.abs(x) @ np.abs(h) if rows else np.abs(h) @ np.abs(x)) + np.abs(b)
+    return float(np.max(residual / scale))
+
+
+@pytest.mark.parametrize("rows", [False, True], ids=["solve", "solve_rows"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_the_refinement_pass_makes_solves_componentwise_backward_stable(n, rows):
+    """``H = D H0 D``, H0 of condition 4 and D graded over four decades: one
+    product with ``H^-1`` alone leaves a componentwise backward error of 19 eps
+    or more here, and the refinement pass brings it under 3 eps (Skeel, 1980)."""
+    eps = np.finfo(np.float64).eps
+    d = np.geomspace(1.0, 1e4, n)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        h = d[:, None] * ((q * np.geomspace(0.25, 1.0, n)) @ q.conj().T) * d
+        h = 0.5 * (h + h.conj().T)
+        factor = CholeskyFactor.of(h, _spectral_report(h, 0.0, hermitian_gates_bessel=False))
+        shape = (3, n) if rows else (n, 3)
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = factor.solve_rows(b) if rows else factor.solve(b)
+        assert _componentwise_backward_error(h, x, b, rows) <= 8 * eps, seed
+
+
 # ---------------------------------------------------------------------------
 # constructors and the inner-product convention
 

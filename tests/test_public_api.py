@@ -164,3 +164,25 @@ def test_verdicts_go_through_one_core():
         if "_spectral_report" in names and path.stem != "kernel":
             readers.add(path.stem)
     assert readers == {"bigframes", "generators"}
+
+
+def test_the_pair_functions_are_the_one_layer_over_the_prepared_pair():
+    # The CLI calls the public pair functions, and only bigframes reads the
+    # kept preparation; no per-call object wraps it.
+    package = Path(bgframes.__file__).parent
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for a in node.names}
+        assert "_PreparedPair" not in names, path.stem
+        if path.stem != "bigframes":
+            assert "_prepare" not in names, path.stem
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    imported = {a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "bigframes"
+                for a in node.names}
+    assert "classify_bi_g_frame" in imported
+    assert {name for name in imported if name.startswith("_")} == {"_reconstruct"}
