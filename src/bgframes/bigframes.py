@@ -80,10 +80,14 @@ def bi_g_frame_operator(sys: BiGFrameSystem) -> np.ndarray:
 
 
 def _classify(sys: BiGFrameSystem, tol: float) -> tuple:
-    """``(S, report)``; the Hermitian gate is off exactly when the families are equal."""
-    op = bi_g_frame_operator(sys)
+    """``(H, report)`` of S, H its Hermitian part (``None`` when not Bessel); the Hermitian
+    gate is off exactly when the families are equal. An S that overflows raises ``LinAlgError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = bi_g_frame_operator(sys)
+    if not np.isfinite(op).all():
+        raise np.linalg.LinAlgError("pair operator overflows")
     gram = np.array_equal(stacked_analysis_matrix(sys.lam), stacked_analysis_matrix(sys.gam))
-    return op, _spectral_report(op, tol, hermitian_gates_bessel=not gram)
+    return _spectral_report(op, tol, hermitian_gates_bessel=not gram)
 
 
 def _prepare(sys: BiGFrameSystem, tol: float) -> tuple:
@@ -94,8 +98,8 @@ def _prepare(sys: BiGFrameSystem, tol: float) -> tuple:
     keeps each side's null basis once built."""
     kept = sys._prepared
     if kept is None or kept[0] != tol:
-        op, report = _classify(sys, tol)
-        kept = (tol, report, CholeskyFactor.of(op, report) if report.is_frame else None, {})
+        h, report = _classify(sys, tol)
+        kept = (tol, report, CholeskyFactor.of(h, report) if report.is_frame else None, {})
         object.__setattr__(sys, "_prepared", kept)
     return kept[1:]
 
@@ -265,10 +269,5 @@ def from_vector_biframe(f_list: VectorFrame, g_list: VectorFrame) -> BiGFrameSys
     pair's mixed sums coincide with the vector biframe sums and
     ``lift_to_biframe`` returns the original families.
     """
-    if f_list.dim != g_list.dim or len(f_list) != len(g_list):
-        raise ShapeMismatch(
-            f"families do not match: dims {f_list.dim}/{g_list.dim}, "
-            f"sizes {len(f_list)}/{len(g_list)}"
-        )
     return BiGFrameSystem(_functionals(f_list), _functionals(g_list))
 

@@ -295,8 +295,7 @@ def _cmd_identity(args) -> int:
                 terms = [coefficient_identity_terms(pair, vec, g, side, tol)
                          for g in (particular, *draws)]
             except ConstraintViolated as exc:  # own coefficients: numerical, not input
-                print(f"numerical failure: {exc}", file=sys.stderr)
-                return 3
+                raise np.linalg.LinAlgError(exc) from exc
             holds = [abs(lhs - rhs) <= tol * (1.0 + abs(lhs)) for lhs, rhs in terms]
             lhs, rhs = terms[0]
             results.append(

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FrameToolError, SchemaError
+from .errors import SchemaError
 from .gframes import GFrameSystem
 
 SCHEMA_VERSION = "1"
@@ -211,10 +211,7 @@ def parse_frame_doc(doc, path: str = "$") -> FrameFile:
             _parse_block(b, f"{sys_path}.blocks[{j}]", dim)
             for j, b in enumerate(blocks_obj)
         )
-        try:
-            systems[name] = GFrameSystem(dim, blocks)
-        except FrameToolError as exc:
-            _fail(sys_path, str(exc))
+        systems[name] = GFrameSystem(dim, blocks)
 
     vectors: dict = {}
     if "vectors" in root:

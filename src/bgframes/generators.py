@@ -159,13 +159,13 @@ def gen_bi_g_frame(spec: GenSpec, target) -> BiGFrameSystem:
             f"sum of block dims {sum(spec.block_dims)} < dimension {n}: "
             "no positive definite pair operator is possible"
         )
-    report = _spectral_report(p, _PD_RATIO, hermitian_gates_bessel=False)
+    h, report = _spectral_report(p, _PD_RATIO, hermitian_gates_bessel=False)
     dev = report.hermitian_deviation
     if dev > DEFAULT_TOL:
         raise NotHermitian(f"target deviation {dev:.3e} exceeds {DEFAULT_TOL:.3e}")
     _require_definite(report)
     lam = _floored_family(_stream(spec.seed), spec.block_dims, n)
-    return _pair_with_target(lam, 0.5 * (p + p.conj().T))
+    return _pair_with_target(lam, h)
 
 
 def gen_negative(spec: GenSpec) -> BiGFrameSystem:

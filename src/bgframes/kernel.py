@@ -113,9 +113,10 @@ class ClassifyReport:
     _edges: tuple | None = field(default=None, repr=False, compare=False)
 
 
-def _spectral_report(op: np.ndarray, tol: float, hermitian_gates_bessel: bool) -> ClassifyReport:
-    """The one classification core: deviation gate, then the spectrum edges
-    ``lo, hi`` of the Hermitian part, a frame when ``lo > tol * max(hi, 0)``.
+def _spectral_report(op: np.ndarray, tol: float, hermitian_gates_bessel: bool) -> tuple:
+    """``(H, report)``, the one classification core: deviation gate, then the edges
+    ``lo, hi`` of the spectrum of H, the Hermitian part of ``op`` (``None`` when that
+    gate decided); a frame when ``lo > tol * max(hi, 0)``.
 
     ``hermitian_gates_bessel`` is false for Gram operators, Hermitian and Bessel
     by construction: their deviation is rounding, reported but gating nothing.
@@ -126,7 +127,7 @@ def _spectral_report(op: np.ndarray, tol: float, hermitian_gates_bessel: bool) -
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     dev = hermitian_deviation(op)
     if hermitian_gates_bessel and dev > tol:
-        return ClassifyReport(False, False, False, False, None, None, dev, tol)
+        return None, ClassifyReport(False, False, False, False, None, None, dev, tol)
     h = 0.5 * (op + op.conj().T)
     w = np.linalg.eigvalsh(h)
     lo, hi = float(w[0]), float(w[-1])
@@ -137,7 +138,7 @@ def _spectral_report(op: np.ndarray, tol: float, hermitian_gates_bessel: bool) -
     inverse_norm = 1.0 / lo if is_frame else None
     if inverse_norm == np.inf:
         raise np.linalg.LinAlgError(f"H^-1 overflows: smallest eigenvalue {lo:.6e}")
-    return ClassifyReport(
+    return h, ClassifyReport(
         True, is_frame, is_tight, is_parseval, None, bounds, dev, tol, inverse_norm, (lo, hi)
     )
 
@@ -160,12 +161,10 @@ class CholeskyFactor:
     h_inv: np.ndarray
 
     @classmethod
-    def of(cls, op: np.ndarray, report: ClassifyReport) -> "CholeskyFactor":
-        """Factor the Hermitian part of ``op``, whose Bessel ``report`` must have
-        passed the frame gate (else ``NotPositiveDefinite``); raises
-        ``numpy.linalg.LinAlgError`` when the factorization fails or ``H^-1`` overflows."""
+    def of(cls, h: np.ndarray, report: ClassifyReport) -> "CholeskyFactor":
+        """Factor the H that :func:`_spectral_report` returned with ``report``: raises
+        ``NotPositiveDefinite`` unless it passed the frame gate, ``LinAlgError`` on failure."""
         _require_definite(report)
-        h = 0.5 * (op + op.conj().T)
         with np.errstate(over="ignore", invalid="ignore"):
             l_inv = np.linalg.inv(np.linalg.cholesky(h))
             h_inv = l_inv.conj().T @ l_inv

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -39,7 +40,7 @@ from bgframes import (
     stacked_analysis_matrix,
     swap,
 )
-from bgframes.bigframes import _prepare, _reconstruct
+from bgframes.bigframes import _classify, _prepare, _reconstruct
 from bgframes.cli import _perturbed
 from bgframes.kernel import CholeskyFactor
 from conftest import (
@@ -485,6 +486,14 @@ def test_pair_construction_validates_shapes():
         BiGFrameSystem(lam, gam_wrong_dim)
 
 
+def test_vector_pairs_are_shape_checked_by_the_pair():
+    one, two = (np.array([1.0, 0.0]),), (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ShapeMismatch, match=r"families live on different spaces: 2 vs 3"):
+        from_vector_biframe(VectorFrame(2, one), VectorFrame(3, (np.ones(3),)))
+    with pytest.raises(ShapeMismatch, match=r"block shapes differ: \(1, 1\) vs \(1,\)"):
+        from_vector_biframe(VectorFrame(2, two), VectorFrame(2, one))
+
+
 # ---------------------------------------------------------------------------
 # one tolerance, read the same way by every gate
 
@@ -861,6 +870,35 @@ def test_non_hermitian_pair_stays_non_hermitian_at_extreme_scales(scale):
     assert not after.is_bessel and not after.is_frame and after.bounds is None
     assert before.hermitian_deviation == pytest.approx(np.sqrt(2.0), rel=1e-9)
     assert after.hermitian_deviation == pytest.approx(before.hermitian_deviation, rel=1e-12)
+
+
+def test_an_overflowing_operator_is_a_numerical_failure():
+    """Scaled by 2^520, the (7; 3,5,2) pair's operator overflows, and so does its
+    first family's own: a numerical failure, not the input validator's ValueError."""
+    pair = gen_bi_g_frame(
+        GenSpec(7, (3, 5, 2), 4, "prescribed_operator"), random_hermitian_pd(7, seed=9)
+    )
+    scaled = rescaled_pair(pair, 2.0**520)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: classify_bi_g_frame(scaled), lambda: classify_g_frame(scaled.lam)):
+            with pytest.raises(np.linalg.LinAlgError, match="pair operator overflows"):
+                call()
+    assert scaled._prepared is None
+
+
+def test_one_hermitian_part_gates_the_pair_and_is_factored():
+    pair = gen_bi_g_frame(
+        GenSpec(7, (3, 5, 2), 4, "prescribed_operator"), random_hermitian_pd(7, seed=9)
+    )
+    s = bi_g_frame_operator(pair)
+    h, report = _classify(pair, DEFAULT_TOL)
+    np.testing.assert_array_equal(h, 0.5 * (s + s.conj().T))
+    w = np.linalg.eigvalsh(h)
+    assert report._edges == (w[0], w[-1])
+    np.testing.assert_array_equal(_prepare(pair, DEFAULT_TOL)[1].h, h)
+    # The Hermitian gate stops the report before any H is formed.
+    assert _classify(NONHERM, DEFAULT_TOL)[0] is None
 
 
 @pytest.mark.parametrize("dim,block_dims", PRESCRIBED_SHAPES)

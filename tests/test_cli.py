@@ -163,6 +163,18 @@ def test_huge_integer_entry_is_input_error(capsys, tmp_path, instance_a_file):
     assert "entries_re: entries must be finite" in err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_float_entry_is_input_error(capsys, tmp_path, instance_a_file, literal):
+    text = Path(instance_a_file).read_text(encoding="utf-8")
+    first = json.loads(text)["systems"]["L"]["blocks"][0]["entries_re"][0]
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text.replace(f'"entries_re": [{first!r}', f'"entries_re": [{literal}', 1))
+    code, out, err = run_cli(capsys, "check", str(path), "--pair", "L,G")
+    assert code == 2
+    assert out == ""
+    assert "entries_re: entries must be finite" in err
+
+
 def test_deeply_nested_file_is_input_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
@@ -262,6 +274,23 @@ def test_gcheck_at_a_subnormal_lower_bound_is_a_numerical_failure(capsys, tmp_pa
     assert "Traceback" not in err and "Warning" not in err
 
 
+def test_an_overflowing_operator_is_a_numerical_failure(tmp_path):
+    # Both families of the (7; 3,5,2) pair scaled by 2^520: S, and the first family's
+    # own operator, overflow. The input is valid, so this is not an input error (exit 2).
+    pair = gen_bi_g_frame(
+        GenSpec(7, (3, 5, 2), 4, "prescribed_operator"), random_hermitian_pd(7, seed=9)
+    )
+    path = tmp_path / "scaled.json"
+    write_pair_file(path, rescaled_pair(pair, 2.0**520))
+    for argv in (["check", str(path), "--pair", "L,G"], ["gcheck", str(path), "--system", "L"]):
+        proc = subprocess.run([sys.executable, "-m", "bgframes.cli", *argv], capture_output=True,
+                              text=True, env=package_env(), timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert "numerical failure: pair operator overflows" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_undecodable_input_names_its_path(capsys, tmp_path):
     bad = tmp_path / "utf16.json"
     bad.write_bytes(b"\xff\xfe{\x00}\x00")
@@ -288,6 +317,46 @@ def test_byte_order_mark_is_accepted(capsys, tmp_path, instance_a_file):
 def test_bad_tol_flag(capsys, instance_a_file):
     code, _, _ = run_cli(capsys, "check", instance_a_file, "--pair", "L,G", "--tol", "-1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "FILE", "--pair", "L"],
+        ["gen", "--dim", "3", "--dims", "1,x", "--seed", "1", "--out", "OUT"],
+        ["gen", "--dim", "3", "--dims", "0", "--seed", "1", "--out", "OUT"],
+    ],
+    ids=["pair-L", "dims-1,x", "dims-0"],
+)
+def test_malformed_flag_values_exit_2(capsys, tmp_path, instance_a_file, argv):
+    out_path = tmp_path / "out.json"
+    argv = [{"FILE": instance_a_file, "OUT": str(out_path)}.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "target,message",
+    [
+        ({"rows": 0, "entries_re": [1.0], "entries_im": [0.0]}, "rows: expected a positive integer"),
+        ({"rows": 2, "entries_re": [1.0, 2.0, 3.0], "entries_im": [0.0] * 3},
+         "expected a nonempty array divisible by rows=2"),
+    ],
+    ids=["rows-0", "not-divisible"],
+)
+def test_malformed_target_operator_is_input_error(capsys, tmp_path, target, message):
+    path = tmp_path / "P.json"
+    path.write_text(json.dumps(target))
+    out_path = tmp_path / "p.json"
+    code, out, err = run_cli(capsys, "gen", "--dim", "3", "--dims", "1,2", "--seed", "1",
+                             "--target-op", str(path), "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +512,21 @@ def test_identity_accepts_its_own_coefficients_at_a_tight_tol(capsys, tmp_path):
     assert code == 0 and json.loads(out)["ok"]
     assert "numerical failure" not in err
     assert run_cli(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("seed", [0, 21])
+def test_identity_refusing_its_own_coefficients_is_a_numerical_failure(capsys, tmp_path, seed):
+    # At --tol 1e-16 the command's own coefficients on these Gram pairs miss the
+    # residual gate: a numerical failure (exit 3), reported by main.
+    path = str(tmp_path / "g.json")
+    gen = ["--dim", "7", "--dims", "3,5,2", "--seed", str(seed), "--out", path]
+    assert run_cli(capsys, "gen", *gen)[0] == 0
+    code, out, err = run_cli(capsys, "identity", path, "--pair", "L,L", "--vector", "e1",
+                             "--perturb", "2", "--tol", "1e-16")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure: coefficients do not synthesize the vector" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("seed", [10, 11])

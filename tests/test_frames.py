@@ -264,6 +264,12 @@ def test_controlled_rejects_singular_controller():
         ControlledSystem(ORTHO_2, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
+def test_controlled_rejects_a_controller_of_the_wrong_shape():
+    for controller in (np.ones((2, 3)), np.eye(3)):
+        with pytest.raises(ShapeMismatch, match="does not match dimension 2"):
+            ControlledSystem(ORTHO_2, controller)
+
+
 def test_controller_ratio_boundary():
     ControlledSystem(ORTHO_2, np.diag([1.0, 1e-11]))
     with pytest.raises(NotInvertibleController):

@@ -56,6 +56,10 @@ def test_gen_spec_validation():
         GenSpec(2, (1,), seed=0, kind="bogus")
     with pytest.raises(ValueError):
         gen_g_frame(GenSpec(2, (1, 1), seed=0, kind="rank_deficient"))
+    with pytest.raises(ValueError, match="gen_bi_g_frame expects kind 'prescribed_operator'"):
+        gen_bi_g_frame(GenSpec(2, (1, 1), seed=0, kind="rank_deficient"), np.eye(2))
+    with pytest.raises(ValueError, match="gen_negative expects kind 'rank_deficient'"):
+        gen_negative(GenSpec(2, (1, 1), seed=0, kind="prescribed_operator"))
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from bgframes import (
     BiGFrameSystem,
     GenSpec,
     GFrameSystem,
+    bi_g_frame_operator,
     canonical_pair,
     classify_bi_g_frame,
     classify_g_frame,
@@ -33,12 +34,20 @@ from bgframes.fileio import FrameFile, load_frame_file, save_frame_file
 PAIR_KINDS = ("prescribed_operator", "rank_deficient", "non_hermitian_pair")
 # Bounds may move by this much, relative to the upper bound.
 BOUND_RTOL = 1e-12
-# A gauge map of condition number up to 1e6 moves the computed S by about
-# 1e6 * eps ~ 2e-10 relative (the largest drift seen over 3,000 draws);
-# derived quantities may move by 50 times that.
+# Gauge maps of condition number up to 1e6, read at tol 1e-9; bounds, reconstructions
+# and duals read from the gauged pair may move by GAUGE_RTOL relative.
 GAUGE_COND = 1e6
 GAUGE_TOL = 1e-9
 GAUGE_RTOL = 1e-8
+# The rounding the gauge map itself adds to S, in units of u kappa ||Gamma||_F ||Lambda||_F,
+# u = 2^-53 and kappa = cond(A_j). A computed product of inner dimension k is off by at
+# most gamma_k ~ k u times the product of its factors' norms (Higham 2002, §3.5), and each
+# factor below grows by at most kappa, so to first order: the gauged operator
+# Gamma'^H Lambda' (k = sum m_j <= 15), the gauged blocks A_j Lambda_j and A_j^-* Gamma_j,
+# and the gauges A_j and A_j^-* from their factors (k = m_j <= 3 each): 15 + 4 * 3 = 27.
+# A relative deviation d then moves by at most (2 + d) ||dS||_F / ||S||_F. Over 6,000
+# drawn gauges the largest drift was 2.5 of these units.
+GAUGE_ROUNDING = 27
 
 
 @st.composite
@@ -144,6 +153,13 @@ def _rel_error(actual, expected, scale):
     gauge_seed=st.integers(0, 2**32),
     log_cond=st.floats(0.0, np.log10(GAUGE_COND)),
 )
+# Gauged, this Hermitian pair's float deviation is 1.108e-9, above GAUGE_TOL; its exact
+# value on those floats is 1.046e-9: the gauge's own rounding moved the operator past tol.
+@example(
+    pair=gen_bi_g_frame(GenSpec(2, (2,), 184, "prescribed_operator"), random_hermitian_pd(2, 184)),
+    gauge_seed=986205,
+    log_cond=6.0,
+)
 def test_gauge_map_keeps_everything_read_from_the_operator(pair, gauge_seed, log_cond):
     # (A_j Lambda_j, A_j^-* Gamma_j) keeps S: Gamma_j* A_j^-1 A_j Lambda_j.
     rng = np.random.default_rng(gauge_seed)
@@ -153,9 +169,18 @@ def test_gauge_map_keeps_everything_read_from_the_operator(pair, gauge_seed, log
         _family(n, (a_inv_star @ b for (_, a_inv_star), b in zip(gauges, pair.gam.blocks))),
     )
     before, after = classify_bi_g_frame(pair, GAUGE_TOL), classify_bi_g_frame(gauged, GAUGE_TOL)
-    assert _verdicts(after) == _verdicts(before)
+    dev = before.hermitian_deviation
+    norms = np.linalg.norm(stacked_analysis_matrix(pair.lam)) * np.linalg.norm(
+        stacked_analysis_matrix(pair.gam)
+    )
+    s_norm = np.linalg.norm(bi_g_frame_operator(pair))
+    drift = GAUGE_ROUNDING * 2.0**-53 * 10**log_cond * (2 + dev) * norms / s_norm if norms else 0.0
+    assert abs(after.hermitian_deviation - dev) <= drift
+    # The verdicts must agree where that rounding cannot carry the deviation across tol.
+    if abs(dev - GAUGE_TOL) > drift:
+        assert _verdicts(after) == _verdicts(before)
     assert after.is_riesz is before.is_riesz is None
-    if not before.is_frame:
+    if not (before.is_frame and after.is_frame):
         return
     upper = before.bounds.upper
     assert abs(after.bounds.lower - before.bounds.lower) <= GAUGE_RTOL * upper

@@ -122,20 +122,20 @@ def test_deviation_requires_square():
 
 
 def test_eig_diagonal_sorted_ascending():
-    report = _spectral_report(np.diag([2.0, 1.0]), 1e-9, hermitian_gates_bessel=True)
+    _, report = _spectral_report(np.diag([2.0, 1.0]), 1e-9, hermitian_gates_bessel=True)
     assert (report.bounds.lower, report.bounds.upper) == (1.0, 2.0)
     assert report.is_frame and not report.is_tight
 
 
 def test_eig_identity():
-    report = _spectral_report(np.eye(4), 1e-9, hermitian_gates_bessel=False)
+    _, report = _spectral_report(np.eye(4), 1e-9, hermitian_gates_bessel=False)
     assert (report.bounds.lower, report.bounds.upper) == (1.0, 1.0)
     assert report.is_parseval and report.hermitian_deviation == 0.0
 
 
 def test_eig_swap_matrix():
     # Characteristic polynomial x^2 - 1: Hermitian, indefinite.
-    report = _spectral_report(np.array([[0.0, 1.0], [1.0, 0.0]]), 1e-9, True)
+    _, report = _spectral_report(np.array([[0.0, 1.0], [1.0, 0.0]]), 1e-9, True)
     assert report.is_bessel and not report.is_frame and report.bounds is None
 
 
@@ -143,10 +143,10 @@ def test_eig_rejects_rectangular_and_nonhermitian():
     with pytest.raises(NotSquare):
         _spectral_report(np.ones((2, 3)), 1e-9, True)
     nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
-    gated = _spectral_report(nilpotent, 1e-9, hermitian_gates_bessel=True)
-    assert not gated.is_bessel and not gated.is_frame
+    h, gated = _spectral_report(nilpotent, 1e-9, hermitian_gates_bessel=True)
+    assert h is None and not gated.is_bessel and not gated.is_frame
     assert gated.hermitian_deviation == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert _spectral_report(nilpotent, 1e-9, hermitian_gates_bessel=False).is_bessel
+    assert _spectral_report(nilpotent, 1e-9, hermitian_gates_bessel=False)[1].is_bessel
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +156,16 @@ def test_eig_rejects_rectangular_and_nonhermitian():
 def test_cholesky_factor_rejects_indefinite():
     h = np.diag([1.0, -1.0]).astype(np.complex128)
     with pytest.raises(NotPositiveDefinite) as excinfo:
-        CholeskyFactor.of(h, _spectral_report(h, 1e-12, hermitian_gates_bessel=False))
+        CholeskyFactor.of(*_spectral_report(h, 1e-12, hermitian_gates_bessel=False))
     assert excinfo.value.smallest_eigenvalue == pytest.approx(-1.0)
 
 
 def test_cholesky_gate_reads_its_ratio():
     h = np.diag([1.0, 1e-13]).astype(np.complex128)
-    factor = CholeskyFactor.of(h, _spectral_report(h, 1e-15, hermitian_gates_bessel=False))
+    factor = CholeskyFactor.of(*_spectral_report(h, 1e-15, hermitian_gates_bessel=False))
     np.testing.assert_allclose(factor.solve(np.array([1.0, 1e-13])), [1.0, 1.0], rtol=1e-14)
     with pytest.raises(NotPositiveDefinite) as excinfo:
-        CholeskyFactor.of(h, _spectral_report(h, 1e-12, hermitian_gates_bessel=False))
+        CholeskyFactor.of(*_spectral_report(h, 1e-12, hermitian_gates_bessel=False))
     assert excinfo.value.smallest_eigenvalue == 1e-13
 
 
@@ -177,7 +177,7 @@ def test_cholesky_solve_agrees_with_dense_solve(n, cond):
     w = np.geomspace(1.0 / cond, 1.0, n)
     h = (q * w) @ q.conj().T
     h = 0.5 * (h + h.conj().T)
-    factor = CholeskyFactor.of(h, _spectral_report(h, 1e-12, hermitian_gates_bessel=False))
+    factor = CholeskyFactor.of(*_spectral_report(h, 1e-12, hermitian_gates_bessel=False))
     for shape in ((n,), (n, 3), (n, 4 * n)):
         b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         x = factor.solve(b)
@@ -220,7 +220,7 @@ def test_the_refinement_pass_makes_solves_componentwise_backward_stable(n, rows)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         h = d[:, None] * ((q * np.geomspace(0.25, 1.0, n)) @ q.conj().T) * d
         h = 0.5 * (h + h.conj().T)
-        factor = CholeskyFactor.of(h, _spectral_report(h, 0.0, hermitian_gates_bessel=False))
+        factor = CholeskyFactor.of(*_spectral_report(h, 0.0, hermitian_gates_bessel=False))
         shape = (3, n) if rows else (n, 3)
         b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         x = factor.solve_rows(b) if rows else factor.solve(b)
@@ -299,7 +299,7 @@ def test_an_inverse_beyond_the_double_range_is_a_numerical_failure():
 def test_the_factor_refuses_an_overflowing_inverse_by_itself():
     # The report now refuses an infinite 1/lo first; the factor's own check stays
     # as the safety net for an operator whose H^-1 overflows all the same.
-    report = _spectral_report(np.eye(2), 0.0, hermitian_gates_bessel=False)
+    _, report = _spectral_report(np.eye(2), 0.0, hermitian_gates_bessel=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError, match=r"H\^-1 overflows"):

@@ -166,6 +166,22 @@ def test_verdicts_go_through_one_core():
     assert readers == {"bigframes", "generators"}
 
 
+def test_the_hermitian_part_is_formed_in_one_place():
+    # _spectral_report forms H and returns it with the report it read, so the
+    # factor, the pair core and the target check all take that one matrix;
+    # random_hermitian_pd symmetrizes its own output.
+    package = Path(bgframes.__file__).parent
+    sites = set()
+    for path in package.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    text = ast.unparse(node) if isinstance(node, ast.BinOp) else ""
+                    if text.startswith("0.5 * (") and "+" in text and ".conj().T" in text:
+                        sites.add((path.stem, func.name))
+    assert sites == {("kernel", "_spectral_report"), ("generators", "random_hermitian_pd")}
+
+
 def test_the_pair_functions_are_the_one_layer_over_the_prepared_pair():
     # The CLI calls the public pair functions, and only bigframes reads the
     # kept preparation; no per-call object wraps it.
