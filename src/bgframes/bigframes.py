@@ -26,6 +26,7 @@ from .gframes import (
     VectorFrame,
     _check_vector,
     _functionals,
+    _match_block_dims,
     g_analysis,
     g_synthesis,
     induced_vectors,
@@ -57,10 +58,7 @@ class BiGFrameSystem:
             raise ShapeMismatch(
                 f"families live on different spaces: {self.lam.dim} vs {self.gam.dim}"
             )
-        if self.lam.block_dims != self.gam.block_dims:
-            raise ShapeMismatch(
-                f"block shapes differ: {self.lam.block_dims} vs {self.gam.block_dims}"
-            )
+        _match_block_dims(self.lam.block_dims, self.gam.block_dims, "block shapes")
 
     @property
     def dim(self) -> int:

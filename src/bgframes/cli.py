@@ -16,7 +16,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
@@ -49,28 +48,15 @@ from .generators import (
 from .gframes import CoefficientSequence
 from .kernel import DEFAULT_TOL
 
-_TOL_ENV = "BGF_TOL"
 _IDENTITY_SEED = 0
 
 
-def _positive_finite(value: float, message: str) -> float:
-    if not (value > 0.0 and np.isfinite(value)):
-        raise SchemaError(message)
-    return value
-
-
 def _tol(args) -> float:
-    """The verdict tolerance: ``--tol``, else ``$BGF_TOL``, else the default."""
-    if args.tol is not None:
-        return _positive_finite(args.tol, "--tol must be positive and finite")
-    raw = os.environ.get(_TOL_ENV)
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        value = float(raw)
-    except ValueError:
-        raise SchemaError(f"{_TOL_ENV}: expected a number, got {raw!r}")
-    return _positive_finite(value, f"{_TOL_ENV}: tolerance must be positive and finite")
+    """The verdict tolerance: ``--tol``, else the default."""
+    tol = DEFAULT_TOL if args.tol is None else args.tol
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise SchemaError("--tol must be positive and finite")
+    return tol
 
 
 def _pair_names(text: str):
@@ -223,7 +209,9 @@ def _cmd_reconstruct(args) -> int:
     ok = all(r <= doc["tolerance"] * scale for r in residuals)
     doc.update(residuals=residuals, max_residual=max(residuals), ok=ok)
     _emit(doc)
-    return 0 if ok else 3
+    if not ok:
+        raise np.linalg.LinAlgError(f"residual {doc['max_residual']:.3e} above its rounding bound")
+    return 0
 
 
 def _cmd_lift(args) -> int:
@@ -331,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=None,
-        help=f"verdict tolerance (default: ${_TOL_ENV} or {DEFAULT_TOL})",
+        help=f"verdict tolerance (default: {DEFAULT_TOL})",
     )
     pair = argparse.ArgumentParser(add_help=False, parents=[common])
     pair.add_argument("file")
@@ -366,13 +354,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--dims", type=_dims_list, required=True, metavar="M1,M2,...")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument(
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument(
         "--kind",
         choices=(KIND_RANDOM, KIND_RANK_DEFICIENT, KIND_NON_HERMITIAN),
         default=KIND_RANDOM,
     )
-    p.add_argument("--target-op", default=None, metavar="P.json",
-                   help="target operator; implies a prescribed-operator pair")
+    kind.add_argument("--target-op", default=None, metavar="P.json",
+                      help="target operator; implies a prescribed-operator pair")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 

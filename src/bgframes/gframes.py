@@ -160,6 +160,16 @@ class CoefficientSequence:
         return cls._of_rows(flat[np.newaxis], block_dims)[0]
 
 
+def _match_block_dims(ours: tuple, theirs: tuple, what: str) -> None:
+    """Raise ``ShapeMismatch`` unless the shapes agree, naming the block counts or
+    the first block whose row counts differ: one line, however many blocks."""
+    if len(ours) != len(theirs):
+        raise ShapeMismatch(f"{what} differ: {len(ours)} vs {len(theirs)} blocks")
+    for j, (m, k) in enumerate(zip(ours, theirs)):
+        if m != k:
+            raise ShapeMismatch(f"{what} differ: block {j} has {m} vs {k} rows")
+
+
 def _check_vector(sys: GFrameSystem, f) -> np.ndarray:
     v = as_vector(f)
     if v.shape[0] != sys.dim:
@@ -169,10 +179,7 @@ def _check_vector(sys: GFrameSystem, f) -> np.ndarray:
 
 def g_synthesis(sys: GFrameSystem, c: CoefficientSequence) -> np.ndarray:
     """``sum_j Lambda_j* c_j`` in C^n, as ``conj(conj(c) Lambda)``: no conjugated family."""
-    if c.block_dims != sys.block_dims:
-        raise ShapeMismatch(
-            f"coefficient shape {c.block_dims} does not match system {sys.block_dims}"
-        )
+    _match_block_dims(c.block_dims, sys.block_dims, "coefficient and system shapes")
     return np.conj(np.conj(c.to_flat()) @ stacked_analysis_matrix(sys))
 
 

@@ -24,28 +24,25 @@ DEFAULT_TOL = 1e-9
 _PD_RATIO = 1e-12
 
 
+def _as_array(data, ndim: int, noun: str) -> np.ndarray:
+    a = np.asarray(data, dtype=np.complex128)
+    if a.ndim != ndim:
+        raise ShapeMismatch(f"expected a {ndim}-d {noun}, got ndim={a.ndim}")
+    if a.size == 0:
+        raise ShapeMismatch(f"{noun} must be nonempty, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{noun} entries must be finite (no NaN/Inf)")
+    return a
+
+
 def as_matrix(data) -> np.ndarray:
     """Coerce ``data`` to a nonempty 2-d complex128 array with finite entries."""
-    m = np.asarray(data, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ShapeMismatch(f"matrix must be nonempty, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return m
+    return _as_array(data, 2, "matrix")
 
 
 def as_vector(data) -> np.ndarray:
     """Coerce ``data`` to a nonempty 1-d complex128 array with finite entries."""
-    v = np.asarray(data, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ShapeMismatch(f"expected a 1-d vector, got ndim={v.ndim}")
-    if v.shape[0] < 1:
-        raise ShapeMismatch("vector must be nonempty")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
-    return v
+    return _as_array(data, 1, "vector")
 
 
 def inner(u, v) -> complex:

@@ -21,6 +21,7 @@ from bgframes import (
     VectorFrame,
     bi_g_frame_operator,
     canonical_pair,
+    check_duality,
     classify_bi_g_frame,
     classify_biframe,
     classify_g_frame,
@@ -490,8 +491,25 @@ def test_vector_pairs_are_shape_checked_by_the_pair():
     one, two = (np.array([1.0, 0.0]),), (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     with pytest.raises(ShapeMismatch, match=r"families live on different spaces: 2 vs 3"):
         from_vector_biframe(VectorFrame(2, one), VectorFrame(3, (np.ones(3),)))
-    with pytest.raises(ShapeMismatch, match=r"block shapes differ: \(1, 1\) vs \(1,\)"):
+    with pytest.raises(ShapeMismatch, match=r"block shapes differ: 2 vs 1 blocks"):
         from_vector_biframe(VectorFrame(2, two), VectorFrame(2, one))
+
+
+def test_block_shape_messages_stay_short():
+    # One line however many blocks: the block counts, or the first block that differs.
+    rng = np.random.default_rng(0)
+    long, short = (VectorFrame(4, tuple(rng.standard_normal((n, 4)))) for n in (1000, 999))
+    with pytest.raises(ShapeMismatch) as info:
+        check_duality(long, short)
+    message = str(info.value)
+    assert len(message) <= 80 and "1000 vs 999 blocks" in message
+    lam = GFrameSystem(4, (np.eye(4)[:2],) * 4)
+    gam = GFrameSystem(4, (np.eye(4)[:2],) * 3 + (np.eye(4),))
+    with pytest.raises(ShapeMismatch, match=r"^block shapes differ: block 3 has 2 vs 4 rows$"):
+        BiGFrameSystem(lam, gam)
+    seq = CoefficientSequence.from_flat(np.ones(8), lam.block_dims)
+    with pytest.raises(ShapeMismatch, match=r"^coefficient and system shapes differ: block 3 "):
+        g_synthesis(gam, seq)
 
 
 # ---------------------------------------------------------------------------

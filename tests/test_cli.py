@@ -184,15 +184,12 @@ def test_deeply_nested_file_is_input_error(capsys, tmp_path):
     assert "nested too deeply" in err
 
 
-def test_tol_env_variable(capsys, monkeypatch, instance_a_file):
-    monkeypatch.setenv("BGF_TOL", "not-a-number")
-    code, _, err = run_cli(capsys, "check", instance_a_file, "--pair", "L,G")
-    assert code == 2
-    assert "BGF_TOL" in err
-    monkeypatch.setenv("BGF_TOL", "1e-6")
-    code, out, _ = run_cli(capsys, "check", instance_a_file, "--pair", "L,G")
-    assert code == 0
-    assert '"tolerance": 9.9999999999999995e-07' in out
+def test_tol_env_variable_is_ignored(capsys, monkeypatch, instance_a_file):
+    # The tolerance has one source, --tol: the caller's environment leaves stdout alone.
+    plain = run_cli(capsys, "check", instance_a_file, "--pair", "L,G")[:2]
+    for value in ("not-a-number", "1e-6"):
+        monkeypatch.setenv("BGF_TOL", value)
+        assert run_cli(capsys, "check", instance_a_file, "--pair", "L,G")[:2] == plain
 
 
 def test_check_small_tol_gives_a_verdict(capsys, tmp_path):
@@ -325,12 +322,16 @@ def test_bad_tol_flag(capsys, instance_a_file):
         ["check", "FILE", "--pair", "L"],
         ["gen", "--dim", "3", "--dims", "1,x", "--seed", "1", "--out", "OUT"],
         ["gen", "--dim", "3", "--dims", "0", "--seed", "1", "--out", "OUT"],
+        ["gen", "--dim", "3", "--dims", "2,2", "--seed", "1", "--kind", "rank_deficient",
+         "--target-op", "TARGET", "--out", "OUT"],
     ],
-    ids=["pair-L", "dims-1,x", "dims-0"],
+    ids=["pair-L", "dims-1,x", "dims-0", "kind-and-target-op"],
 )
 def test_malformed_flag_values_exit_2(capsys, tmp_path, instance_a_file, argv):
-    out_path = tmp_path / "out.json"
-    argv = [{"FILE": instance_a_file, "OUT": str(out_path)}.get(a, a) for a in argv]
+    out_path, target = tmp_path / "out.json", tmp_path / "P.json"
+    save_matrix(target, random_hermitian_pd(3, seed=9))
+    names = {"FILE": instance_a_file, "OUT": str(out_path), "TARGET": str(target)}
+    argv = [names.get(a, a) for a in argv]
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
@@ -545,6 +546,24 @@ def test_identity_of_a_prescribed_pair_at_a_tight_tol_succeeds(capsys, tmp_path,
         )
         assert code == 0 and json.loads(out)["ok"]
         assert "numerical failure" not in err
+
+
+@pytest.mark.parametrize("variant", ["1", "2"])
+@pytest.mark.parametrize("seed", [4, 21])
+def test_reconstruct_missing_its_rounding_bound_is_a_numerical_failure(
+    capsys, tmp_path, seed, variant
+):
+    # At --tol 1e-18 the residual of e1 on these Gram pairs is above its rounding
+    # bound: the report still goes to stdout, and main prints the exit 3.
+    path = str(tmp_path / "g.json")
+    gen = ["--dim", "7", "--dims", "3,5,2", "--seed", str(seed), "--out", path]
+    assert run_cli(capsys, "gen", *gen)[0] == 0
+    code, out, err = run_cli(capsys, "reconstruct", path, "--pair", "L,L", "--vector", "e1",
+                             "--variant", variant, "--tol", "1e-18")
+    assert code == 3
+    assert json.loads(out)["ok"] is False
+    assert "numerical failure: residual" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("variant", ["1", "2"])

@@ -101,6 +101,14 @@ def test_reader_names_the_bad_entry(k, bad):
     assert str(info.value) == f"f.json.systems.L.blocks[1].entries_re[{k}]: expected a number"
 
 
+@pytest.mark.parametrize("bad", [[], {"re": [1.0]}], ids=["empty", "object"])
+def test_reader_names_a_bad_vectors_entry(bad):
+    doc = {**_small_doc(), "vectors": {"v": bad}}
+    with pytest.raises(SchemaError) as info:
+        parse_frame_doc(doc, path="f.json")
+    assert str(info.value) == "f.json.vectors.v: expected a nonempty array of vectors"
+
+
 def test_reader_accepts_float_subclasses():
     doc = _small_doc()
     expected = parse_frame_doc(doc)

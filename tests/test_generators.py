@@ -3,6 +3,7 @@ import pytest
 
 from bgframes import (
     GenSpec,
+    NotHermitian,
     NotPositiveDefinite,
     ShapeMismatch,
     bi_g_frame_operator,
@@ -48,6 +49,8 @@ def test_full_shape_is_a_frame():
 def test_gen_spec_validation():
     with pytest.raises(ShapeMismatch):
         GenSpec(0, (1,), seed=0)
+    with pytest.raises(ShapeMismatch, match="dimension must be positive, got 0"):
+        random_hermitian_pd(0, seed=1)
     with pytest.raises(ShapeMismatch):
         GenSpec(2, (), seed=0)
     with pytest.raises(ValueError):
@@ -146,6 +149,8 @@ def test_prescribed_rejects_bad_targets():
     spec = GenSpec(2, (1, 1), seed=0, kind="prescribed_operator")
     with pytest.raises(NotPositiveDefinite):
         gen_bi_g_frame(spec, np.diag([1.0, -1.0]))
+    with pytest.raises(NotHermitian, match="target deviation"):
+        gen_bi_g_frame(spec, np.array([[1.0, 1e-3], [0.0, 1.0]]))
     with pytest.raises(ShapeMismatch):
         gen_bi_g_frame(spec, np.eye(3))
     with pytest.raises(ShapeMismatch):

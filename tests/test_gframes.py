@@ -6,6 +6,7 @@ from bgframes import (
     GenSpec,
     GFrameSystem,
     ShapeMismatch,
+    VectorFrame,
     classify_frame,
     classify_g_frame,
     frame_operator,
@@ -233,5 +234,11 @@ def test_from_flat_validates_once_and_shares_one_read_only_copy():
 def test_system_validation():
     with pytest.raises(ShapeMismatch):
         GFrameSystem(2, ())
+    with pytest.raises(ShapeMismatch, match="dimension must be positive, got 0"):
+        GFrameSystem(0, (np.ones((1, 1)),))
+    with pytest.raises(ShapeMismatch, match="dimension must be positive, got 0"):
+        VectorFrame(0, (np.ones(1),))
+    with pytest.raises(ShapeMismatch, match="needs at least one part"):
+        CoefficientSequence(())
     with pytest.raises(ShapeMismatch):
         GFrameSystem(2, (np.ones((1, 3)),))

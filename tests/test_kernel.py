@@ -23,7 +23,7 @@ from bgframes import (
     inner,
     lift_to_biframe,
 )
-from bgframes.kernel import CholeskyFactor, _spectral_report
+from bgframes.kernel import CholeskyFactor, FrameBounds, _spectral_report, as_vector
 from conftest import subnormal_edge_pair
 from oracles import adjoint_identity_check
 
@@ -236,6 +236,25 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ShapeMismatch):
         as_matrix(np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize(
+    "coerce,data,message",
+    [
+        (as_matrix, np.ones(3), "expected a 2-d matrix, got ndim=1"),
+        (as_matrix, np.ones((2, 2, 2)), "expected a 2-d matrix, got ndim=3"),
+        (as_vector, [], "vector must be nonempty"),
+    ],
+    ids=["matrix-1d", "matrix-3d", "vector-empty"],
+)
+def test_coercion_rejects_wrong_shapes(coerce, data, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        coerce(data)
+
+
+def test_frame_bounds_must_be_ordered():
+    with pytest.raises(ValueError, match=r"invalid bounds: \(2.0, 1.0\)"):
+        FrameBounds(2.0, 1.0)
 
 
 def test_inner_is_linear_in_first_argument():
