@@ -233,21 +233,29 @@ def coefficient_identity_terms(
     them. Returns ``(lhs, rhs)`` as (float, complex); raises ``ConstraintViolated``
     when ``||Gamma^H g - f|| > tol (||Gamma||_F ||g|| + ||f||)`` (``Lambda`` on that side).
     """
+    return _coefficient_identity_terms(sys, f, [g], side, tol)[0]
+
+
+def _coefficient_identity_terms(sys: BiGFrameSystem, f, gs, side: str, tol: float) -> list:
+    """:func:`coefficient_identity_terms` of each of ``gs``, with one solve of ``y = H^-1 f``."""
     report, factor, _ = _prepare(sys, tol)
     _, synthesis = _families(sys, side)
     v = _check_vector(sys, f)
-    residual = float(np.linalg.norm(g_synthesis(synthesis, g) - v))
-    lhs = g.norm_sq()
-    if residual > tol * (synthesis._frobenius * lhs**0.5 + np.linalg.norm(v)):
-        raise ConstraintViolated(
-            f"coefficients do not synthesize the vector: residual {residual:.3e}"
-        )
+    lhs = [g.norm_sq() for g in gs]
+    for g, norm_sq in zip(gs, lhs):
+        residual = float(np.linalg.norm(g_synthesis(synthesis, g) - v))
+        if residual > tol * (synthesis._frobenius * norm_sq**0.5 + np.linalg.norm(v)):
+            raise ConstraintViolated(
+                f"coefficients do not synthesize the vector: residual {residual:.3e}"
+            )
     y = _factor(report, factor).solve(v)
-    lam_y = stacked_analysis_matrix(sys.lam) @ y
-    gam_y = stacked_analysis_matrix(sys.gam) @ y
-    c = g.to_flat()
-    first = inner(c, c - gam_y) if side == "gamma" else inner(c - lam_y, c)
-    return lhs, first + inner(lam_y, gam_y)
+    lam_y, gam_y = stacked_analysis_matrix(sys.lam) @ y, stacked_analysis_matrix(sys.gam) @ y
+    dual_term = inner(lam_y, gam_y)  # it and y depend on f alone
+    terms = []
+    for c, norm_sq in zip(map(CoefficientSequence.to_flat, gs), lhs):
+        first = inner(c, c - gam_y) if side == "gamma" else inner(c - lam_y, c)
+        terms.append((norm_sq, first + dual_term))
+    return terms
 
 
 def lift_to_biframe(sys: BiGFrameSystem) -> tuple:

@@ -24,11 +24,11 @@ import numpy as np
 
 from .bigframes import (
     BiGFrameSystem,
+    _coefficient_identity_terms,
     _reconstruct,
     canonical_pair,
     classify_bi_g_frame,
     classify_g_frame,
-    coefficient_identity_terms,
     lift_to_biframe,
     solve_synthesis_coefficients,
 )
@@ -230,7 +230,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_gen(args) -> int:
     dims = tuple(args.dims)
-    kind = KIND_PRESCRIBED if args.target_op else args.kind
+    kind = KIND_PRESCRIBED if args.target_op else args.kind or KIND_RANDOM
     spec = GenSpec(dim=args.dim, block_dims=dims, seed=args.seed, kind=kind)
     if kind == KIND_RANDOM:
         systems = {"L": gen_g_frame(spec)}
@@ -280,8 +280,7 @@ def _cmd_identity(args) -> int:
             rng = np.random.default_rng(_IDENTITY_SEED + index)
             draws = [_perturbed(particular, nullbasis, rng) for _ in range(args.perturb)]
             try:
-                terms = [coefficient_identity_terms(pair, vec, g, side, tol)
-                         for g in (particular, *draws)]
+                terms = _coefficient_identity_terms(pair, vec, [particular, *draws], side, tol)
             except ConstraintViolated as exc:  # own coefficients: numerical, not input
                 raise np.linalg.LinAlgError(exc) from exc
             holds = [abs(lhs - rhs) <= tol * (1.0 + abs(lhs)) for lhs, rhs in terms]
@@ -358,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kind.add_argument(
         "--kind",
         choices=(KIND_RANDOM, KIND_RANK_DEFICIENT, KIND_NON_HERMITIAN),
-        default=KIND_RANDOM,
+        default=None,  # a given --kind is never the default object, so it excludes --target-op
     )
     kind.add_argument("--target-op", default=None, metavar="P.json",
                       help="target operator; implies a prescribed-operator pair")

@@ -19,8 +19,8 @@ Serialization is deterministic: insertion-ordered keys and floats printed
 with 17 significant digits, which round-trips IEEE doubles exactly, and a
 negative zero as ``-0.0``. Floats are formatted per array: the document
 holds each ``entries_re`` / ``entries_im`` as one 1-d float64 array. A save
-builds the whole text before it opens the target, so a save that fails
-leaves the file as it was.
+builds one UTF-8 buffer before it opens the target, so a failed save leaves
+the file as it was, and writes it in binary mode: LF line ends everywhere.
 """
 
 from __future__ import annotations
@@ -51,39 +51,39 @@ def _float_tokens(arr: np.ndarray) -> list:
     return tokens
 
 
-def _write(value, out, indent: int) -> None:
+def _write(value, emit, indent: int) -> None:
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
-            out.append("{}")
+            emit("{}")
             return
-        out.append("{\n")
+        emit("{\n")
         for i, (key, item) in enumerate(value.items()):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _write(item, out, indent + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
+            emit(f"{pad}  {json.dumps(str(key))}: ")
+            _write(item, emit, indent + 1)
+            emit(",\n" if i < len(value) - 1 else "\n")
+        emit(pad + "}")
     elif isinstance(value, np.ndarray):
         if value.dtype != np.float64 or value.ndim != 1:
             raise TypeError(f"cannot serialize a {value.ndim}-d {value.dtype} array")
-        out.append("[" + ", ".join(_float_tokens(value)) + "]")
+        emit("[" + ", ".join(_float_tokens(value)) + "]")
     elif isinstance(value, (list, tuple)):
-        out.append("[")
+        emit("[")
         for i, item in enumerate(value):
-            _write(item, out, indent)
+            _write(item, emit, indent)
             if i < len(value) - 1:
-                out.append(", ")
-        out.append("]")
+                emit(", ")
+        emit("]")
     elif isinstance(value, bool):
-        out.append("true" if value else "false")
+        emit("true" if value else "false")
     elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
+        emit(str(int(value)))
     elif isinstance(value, (float, np.floating)):
-        out.append(_float_tokens(np.array([value], dtype=np.float64))[0])
+        emit(_float_tokens(np.array([value], dtype=np.float64))[0])
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        emit(json.dumps(value))
     elif value is None:
-        out.append("null")
+        emit("null")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -91,7 +91,7 @@ def _write(value, out, indent: int) -> None:
 def dumps_json(value) -> str:
     """Deterministic JSON text: stable key order, 17-significant-digit floats."""
     out: list = []
-    _write(value, out, 0)
+    _write(value, out.append, 0)
     return "".join(out)
 
 
@@ -110,11 +110,13 @@ def _load_json(path) -> tuple:
     try:
         with open(path, "rb") as handle:
             data = handle.read()
+        digest = hashlib.sha256(data).hexdigest()
         text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: cannot decode file as UTF-8: {exc}") from exc
+    del data  # the parse holds the text only
 
     def hook(pairs):
         result = {}
@@ -125,7 +127,7 @@ def _load_json(path) -> tuple:
         return result
 
     try:
-        return json.loads(text, object_pairs_hook=hook), hashlib.sha256(data).hexdigest()
+        return json.loads(text, object_pairs_hook=hook), digest
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -266,10 +268,11 @@ def frame_file_doc(data: FrameFile) -> dict:
 
 
 def _save(path, doc) -> None:
-    text = dumps_json(doc)  # before open() truncates the target
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.write("\n")
+    buffer = bytearray()  # the whole file, built before open() truncates the target
+    _write(doc, lambda piece: buffer.extend(piece.encode()), 0)
+    buffer.extend(b"\n")
+    with open(path, "wb") as handle:
+        handle.write(buffer)
 
 
 def save_frame_file(path, data: FrameFile) -> None:

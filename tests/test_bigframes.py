@@ -41,7 +41,7 @@ from bgframes import (
     stacked_analysis_matrix,
     swap,
 )
-from bgframes.bigframes import _classify, _prepare, _reconstruct
+from bgframes.bigframes import _classify, _coefficient_identity_terms, _prepare, _reconstruct
 from bgframes.cli import _perturbed
 from bgframes.kernel import CholeskyFactor
 from conftest import (
@@ -748,6 +748,23 @@ def test_shared_factor_matches_per_block_solves(dim, block_dims):
         ref_lhs, ref_rhs = _reference_identity_terms(lam_t, gam_t, f, g, side)
         _assert_rel(lhs, ref_lhs)
         _assert_rel(rhs, ref_rhs)
+
+
+@pytest.mark.parametrize("side", ["gamma", "lambda"])
+def test_identity_terms_of_several_sequences_match_one_at_a_time(side):
+    pair = _prescribed_pair(16, (4,) * 8)
+    rng = np.random.default_rng(7)
+    f = random_complex_vector(rng, 16)
+    particular, nullbasis = solve_synthesis_coefficients(pair, f, side)
+    draws = [
+        CoefficientSequence.from_flat(
+            particular.to_flat() + random_complex_vector(rng, 1)[0] * g.to_flat(), (4,) * 8
+        )
+        for g in nullbasis[:3]
+    ]
+    sequences = [particular, *draws]
+    terms = _coefficient_identity_terms(pair, f, sequences, side, DEFAULT_TOL)
+    assert terms == [coefficient_identity_terms(pair, f, g, side) for g in sequences]
 
 
 @pytest.mark.parametrize("variant", [1, 2])

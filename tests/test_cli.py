@@ -324,8 +324,11 @@ def test_bad_tol_flag(capsys, instance_a_file):
         ["gen", "--dim", "3", "--dims", "0", "--seed", "1", "--out", "OUT"],
         ["gen", "--dim", "3", "--dims", "2,2", "--seed", "1", "--kind", "rank_deficient",
          "--target-op", "TARGET", "--out", "OUT"],
+        # The default kind's name, given in-process, is the same object as the constant.
+        ["gen", "--dim", "3", "--dims", "2,2", "--seed", "1", "--kind", "random_g_frame",
+         "--target-op", "TARGET", "--out", "OUT"],
     ],
-    ids=["pair-L", "dims-1,x", "dims-0", "kind-and-target-op"],
+    ids=["pair-L", "dims-1,x", "dims-0", "kind-and-target-op", "default-kind-and-target-op"],
 )
 def test_malformed_flag_values_exit_2(capsys, tmp_path, instance_a_file, argv):
     out_path, target = tmp_path / "out.json", tmp_path / "P.json"
@@ -665,6 +668,26 @@ def test_reconstruct_variant_2_solves_once_per_command(
     )
     assert code == 0
     assert calls["solve"] == solves
+
+
+@pytest.mark.parametrize("perturb", ["0", "5", "50"])
+def test_identity_solves_once_per_vector_and_side(capsys, monkeypatch, prescribed_file, perturb):
+    """One solve for the particular solution and one for the identity terms of
+    every draw, on each side: the count does not grow with ``--perturb``."""
+    calls = Counter()
+    solve = CholeskyFactor.solve
+
+    def counting(self, b):
+        calls["solve"] += 1
+        return solve(self, b)
+
+    monkeypatch.setattr(CholeskyFactor, "solve", counting)
+    code, _, _ = run_cli(
+        capsys, "identity", prescribed_file, "--pair", "L,G",
+        "--vector", "e1", "--perturb", perturb,
+    )
+    assert code == 0
+    assert calls["solve"] == 4
 
 
 def test_lift_prepares_the_pair_once(capsys, tmp_path, lapack_calls, prescribed_file):

@@ -1,16 +1,25 @@
 """Frame file writing and reading: the per-array float writer against the
 per-float rule, the reader's error paths, one read per load, saves that fail,
-and the cost of writing a full-size instance counted in calls."""
+and the cost of writing and reading a full-size instance, counted in calls
+and in peak memory against the file's size."""
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bgframes import GenSpec, SchemaError, gen_bi_g_frame, random_hermitian_pd
+from bgframes import (
+    BiGFrameSystem,
+    GenSpec,
+    SchemaError,
+    canonical_pair,
+    gen_bi_g_frame,
+    random_hermitian_pd,
+)
 from bgframes import fileio
 from bgframes.fileio import (
     FrameFile,
@@ -169,6 +178,45 @@ def test_full_size_save_load_save_is_byte_identical(tmp_path, full_size_file):
     save_frame_file(first, full_size_file)
     save_frame_file(second, load_frame_file(first))
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def dual_size_file(full_size_file):
+    """The full-size pair plus its dual pair: the file `bgf dual` writes."""
+    dual = canonical_pair(BiGFrameSystem(full_size_file.systems["L"], full_size_file.systems["G"]))
+    systems = {**full_size_file.systems, "L~": dual.lam, "G~": dual.gam}
+    return FrameFile(dim=64, systems=systems, vectors=full_size_file.vectors)
+
+
+def _traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of the allocations ``call()`` makes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_holds_one_encoded_copy_of_the_file(tmp_path, dual_size_file):
+    # The buffer, the document's float arrays (about a third of the text) and one piece.
+    path = tmp_path / "dual.json"
+    peak = _traced_peak(lambda: save_frame_file(path, dual_size_file))
+    assert peak <= 1.6 * path.stat().st_size
+
+
+def test_load_drops_the_raw_bytes_before_the_parse(tmp_path, dual_size_file):
+    # The text, and the parsed lists of floats: about 1.5x the text.
+    path = tmp_path / "dual.json"
+    save_frame_file(path, dual_size_file)
+    peak = _traced_peak(lambda: load_frame_file(path))
+    assert peak <= 2.8 * path.stat().st_size
+
+
+def test_a_saved_file_is_the_json_text_plus_a_newline(tmp_path, dual_size_file):
+    path = tmp_path / "dual.json"
+    save_frame_file(path, dual_size_file)
+    assert path.read_bytes() == (dumps_json(frame_file_doc(dual_size_file)) + "\n").encode()
 
 
 def test_load_reads_once_and_hashes_the_bytes_parsed(monkeypatch, tmp_path, instance_a):
