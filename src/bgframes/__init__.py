@@ -20,7 +20,6 @@ from .errors import (
     FrameToolError,
     NotBiGFrame,
     NotHermitian,
-    NotInvertibleController,
     NotPositiveDefinite,
     NotSquare,
     SchemaError,

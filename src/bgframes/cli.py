@@ -68,10 +68,10 @@ def _pair_names(text: str):
 
 def _dims_list(text: str):
     try:
-        dims = [int(p) for p in text.split(",") if p.strip()]
+        dims = [int(p) for p in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not dims or any(m < 1 for m in dims):
+    if any(m < 1 for m in dims):
         raise argparse.ArgumentTypeError("block dims must be positive integers")
     return dims
 

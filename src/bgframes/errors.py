@@ -28,10 +28,6 @@ class ShapeMismatch(FrameToolError):
     """Operands have incompatible shapes or index structure."""
 
 
-class NotInvertibleController(FrameToolError):
-    """The controller operator of a controlled system is numerically singular."""
-
-
 class NotBiGFrame(FrameToolError):
     """An operation requiring a bi-g-frame was called on a pair that is not one.
 

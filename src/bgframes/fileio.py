@@ -240,8 +240,8 @@ def load_frame_file(path) -> FrameFile:
 def _block_doc(block: np.ndarray) -> dict:
     return {
         "rows": int(block.shape[0]),
-        "entries_re": block.real.ravel(),
-        "entries_im": block.imag.ravel(),
+        "entries_re": block.real.reshape(-1),  # views of a row-major block; ravel() copies
+        "entries_im": block.imag.reshape(-1),
     }
 
 

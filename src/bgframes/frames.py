@@ -16,14 +16,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bigframes import _classify, bi_g_frame_operator, classify_g_frame, from_vector_biframe
-from .errors import NotInvertibleController, ShapeMismatch
+from .errors import ShapeMismatch
 from .gframes import VectorFrame, _functionals, g_frame_operator
-from .kernel import _PD_RATIO, DEFAULT_TOL, ClassifyReport, CholeskyFactor, as_matrix
+from .kernel import DEFAULT_TOL, ClassifyReport, CholeskyFactor, as_matrix
 
 
 @dataclass(frozen=True, eq=False)
 class ControlledSystem:
-    """A vector frame weighted through an invertible operator."""
+    """A vector frame weighted through any square operator C; its verdicts read ``C S``."""
 
     frame: VectorFrame
     controller: np.ndarray
@@ -33,11 +33,6 @@ class ControlledSystem:
         n = self.frame.dim
         if c.shape != (n, n):
             raise ShapeMismatch(f"controller shape {c.shape} does not match dimension {n}")
-        s = np.linalg.svd(c, compute_uv=False)
-        if s[-1] <= _PD_RATIO * s[0]:
-            raise NotInvertibleController(
-                f"controller is numerically singular: smallest singular value {s[-1]:.3e}"
-            )
         c.setflags(write=False)
         object.__setattr__(self, "controller", c)
 
@@ -60,9 +55,10 @@ def classify_frame(frame: VectorFrame, tol: float = DEFAULT_TOL) -> ClassifyRepo
     return classify_g_frame(_functionals(frame), tol)
 
 
-def canonical_dual(frame: VectorFrame) -> VectorFrame:
-    """The family ``{S^-1 f_j}``; raises ``NotPositiveDefinite`` on non-frames at ``_PD_RATIO``."""
-    factor = CholeskyFactor.of(*_classify(from_vector_biframe(frame, frame), _PD_RATIO))
+def canonical_dual(frame: VectorFrame, tol: float = DEFAULT_TOL) -> VectorFrame:
+    """The family ``{S^-1 f_j}``; raises ``NotPositiveDefinite`` exactly where
+    ``classify_frame(frame, tol)`` finds no frame."""
+    factor = CholeskyFactor.of(*_classify(from_vector_biframe(frame, frame), tol))
     duals = factor.solve(synthesis_matrix(frame))
     return VectorFrame(frame.dim, tuple(duals[:, j] for j in range(duals.shape[1])))
 

@@ -20,7 +20,7 @@ from .bigframes import BiGFrameSystem, _classify, bi_g_frame_operator, classify_
 from .errors import NotHermitian, ShapeMismatch
 from .gframes import GFrameSystem, stacked_analysis_matrix
 from .kernel import DEFAULT_TOL, CholeskyFactor, as_matrix, hermitian_deviation
-from .kernel import _PD_RATIO, _require_definite, _spectral_report
+from .kernel import _require_definite, _spectral_report
 
 KIND_RANDOM = "random_g_frame"
 KIND_PRESCRIBED = "prescribed_operator"
@@ -132,7 +132,7 @@ def _pair_with_target(lam: GFrameSystem, target: np.ndarray) -> BiGFrameSystem:
     Setting ``Gamma_j = Lambda_j M`` gives pair operator ``M* S_lam``, so
     ``M = S_lam^-1 target*`` lands on ``target``.
     """
-    m = CholeskyFactor.of(*_classify(BiGFrameSystem(lam, lam), _PD_RATIO)).solve(target.conj().T)
+    m = CholeskyFactor.of(*_classify(BiGFrameSystem(lam, lam), DEFAULT_TOL)).solve(target.conj().T)
     # One product per block: BLAS rounds a product of the stacked matrix
     # differently, which would change the entries that `bgf gen` writes.
     gam = GFrameSystem(lam.dim, tuple(b @ m for b in lam.blocks))
@@ -142,9 +142,10 @@ def _pair_with_target(lam: GFrameSystem, target: np.ndarray) -> BiGFrameSystem:
 def gen_bi_g_frame(spec: GenSpec, target) -> BiGFrameSystem:
     """Pair whose operator equals the Hermitian PD ``target`` to roundoff.
 
-    The first family is a complex Gaussian draw whose singular values are
-    floored at 5% of the largest; the second is the matching companion.
-    Classification bounds therefore equal the spectrum edges of ``target``.
+    The first family is a complex Gaussian draw whose singular values are floored
+    at 5% of the largest; the second is the matching companion. Classification
+    bounds therefore equal the spectrum edges of ``target``. A target that fails the
+    pair gate at ``DEFAULT_TOL`` raises ``NotHermitian`` or ``NotPositiveDefinite``.
     """
     if spec.kind != KIND_PRESCRIBED:
         raise ValueError(
@@ -159,9 +160,9 @@ def gen_bi_g_frame(spec: GenSpec, target) -> BiGFrameSystem:
             f"sum of block dims {sum(spec.block_dims)} < dimension {n}: "
             "no positive definite pair operator is possible"
         )
-    h, report = _spectral_report(p, _PD_RATIO, hermitian_gates_bessel=False)
-    dev = report.hermitian_deviation
-    if dev > DEFAULT_TOL:
+    h, report = _spectral_report(p, DEFAULT_TOL, hermitian_gates_bessel=True)
+    if h is None:
+        dev = report.hermitian_deviation
         raise NotHermitian(f"target deviation {dev:.3e} exceeds {DEFAULT_TOL:.3e}")
     _require_definite(report)
     lam = _floored_family(_stream(spec.seed), spec.block_dims, n)

@@ -20,9 +20,6 @@ from .errors import NotPositiveDefinite, NotSquare, ShapeMismatch
 #: Package-wide default relative tolerance for verdicts and residual checks.
 DEFAULT_TOL = 1e-9
 
-# The lambda_min / lambda_max gate where no tol applies: condition 1e12 still keeps ~4 digits.
-_PD_RATIO = 1e-12
-
 
 def _as_array(data, ndim: int, noun: str) -> np.ndarray:
     a = np.asarray(data, dtype=np.complex128)

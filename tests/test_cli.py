@@ -322,13 +322,15 @@ def test_bad_tol_flag(capsys, instance_a_file):
         ["check", "FILE", "--pair", "L"],
         ["gen", "--dim", "3", "--dims", "1,x", "--seed", "1", "--out", "OUT"],
         ["gen", "--dim", "3", "--dims", "0", "--seed", "1", "--out", "OUT"],
+        ["gen", "--dim", "3", "--dims", "1,,2", "--seed", "1", "--out", "OUT"],
         ["gen", "--dim", "3", "--dims", "2,2", "--seed", "1", "--kind", "rank_deficient",
          "--target-op", "TARGET", "--out", "OUT"],
         # The default kind's name, given in-process, is the same object as the constant.
         ["gen", "--dim", "3", "--dims", "2,2", "--seed", "1", "--kind", "random_g_frame",
          "--target-op", "TARGET", "--out", "OUT"],
     ],
-    ids=["pair-L", "dims-1,x", "dims-0", "kind-and-target-op", "default-kind-and-target-op"],
+    ids=["pair-L", "dims-1,x", "dims-0", "dims-1,,2", "kind-and-target-op",
+         "default-kind-and-target-op"],
 )
 def test_malformed_flag_values_exit_2(capsys, tmp_path, instance_a_file, argv):
     out_path, target = tmp_path / "out.json", tmp_path / "P.json"
@@ -348,8 +350,11 @@ def test_malformed_flag_values_exit_2(capsys, tmp_path, instance_a_file, argv):
         ({"rows": 0, "entries_re": [1.0], "entries_im": [0.0]}, "rows: expected a positive integer"),
         ({"rows": 2, "entries_re": [1.0, 2.0, 3.0], "entries_im": [0.0] * 3},
          "expected a nonempty array divisible by rows=2"),
+        # diag(1, 1, 1e-10) is not positive definite at the default tol 1e-9.
+        ({"rows": 3, "entries_re": [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1e-10], "entries_im": [0.0] * 9},
+         "not positive definite"),
     ],
-    ids=["rows-0", "not-divisible"],
+    ids=["rows-0", "not-divisible", "condition-1e10"],
 )
 def test_malformed_target_operator_is_input_error(capsys, tmp_path, target, message):
     path = tmp_path / "P.json"

@@ -199,7 +199,7 @@ def _traced_peak(call) -> int:
 
 
 def test_save_holds_one_encoded_copy_of_the_file(tmp_path, dual_size_file):
-    # The buffer, the document's float arrays (about a third of the text) and one piece.
+    # The buffer and one piece: the document's float arrays are views of the blocks.
     path = tmp_path / "dual.json"
     peak = _traced_peak(lambda: save_frame_file(path, dual_size_file))
     assert peak <= 1.6 * path.stat().st_size
@@ -217,6 +217,14 @@ def test_a_saved_file_is_the_json_text_plus_a_newline(tmp_path, dual_size_file):
     path = tmp_path / "dual.json"
     save_frame_file(path, dual_size_file)
     assert path.read_bytes() == (dumps_json(frame_file_doc(dual_size_file)) + "\n").encode()
+
+
+def test_the_document_holds_views_of_the_blocks(full_size_file):
+    doc = frame_file_doc(full_size_file)
+    for name, family in full_size_file.systems.items():
+        for block, entry in zip(family.blocks, doc["systems"][name]["blocks"], strict=True):
+            assert np.shares_memory(entry["entries_re"], block)
+            assert np.shares_memory(entry["entries_im"], block)
 
 
 def test_load_reads_once_and_hashes_the_bytes_parsed(monkeypatch, tmp_path, instance_a):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bgframes import (
+    DEFAULT_TOL,
     ControlledSystem,
-    NotInvertibleController,
     NotPositiveDefinite,
     ShapeMismatch,
     VectorFrame,
@@ -165,6 +165,14 @@ def test_canonical_dual_rejects_non_frame():
         canonical_dual(VectorFrame(2, (np.array([1.0, 0.0]),)))
 
 
+def test_canonical_dual_reads_tol():
+    # Frame operator diag(1, 1e-13): a frame at tol 1e-15, so it has a dual there.
+    frame = VectorFrame(2, (np.array([1.0, 0.0]), np.array([0.0, 10.0**-6.5])))
+    assert classify_frame(frame, tol=1e-15).is_frame
+    dual = canonical_dual(frame, tol=1e-15)
+    assert check_duality(frame, dual, 1e-15)
+
+
 def test_check_duality_swap_is_not_dual():
     swapped = VectorFrame(2, (np.array([0.0, 1.0]), np.array([1.0, 0.0])))
     assert not check_duality(ORTHO_2, swapped)
@@ -260,8 +268,9 @@ def test_controlled_verdicts_match_the_plain_operator_oracle():
 
 
 def test_controlled_rejects_singular_controller():
-    with pytest.raises(NotInvertibleController):
-        ControlledSystem(ORTHO_2, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    # Any square controller is accepted; a singular C makes C S singular.
+    sys = ControlledSystem(ORTHO_2, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert not classify_controlled(sys).is_frame
 
 
 def test_controlled_rejects_a_controller_of_the_wrong_shape():
@@ -271,9 +280,12 @@ def test_controlled_rejects_a_controller_of_the_wrong_shape():
 
 
 def test_controller_ratio_boundary():
-    ControlledSystem(ORTHO_2, np.diag([1.0, 1e-11]))
-    with pytest.raises(NotInvertibleController):
-        ControlledSystem(ORTHO_2, np.diag([1.0, 1e-13]))
+    # C S = diag(1, c): a controlled frame at tol 1e-12 exactly when c > 1e-12.
+    for c, is_frame in ((1e-11, True), (1e-13, False)):
+        sys = ControlledSystem(ORTHO_2, np.diag([1.0, c]))
+        assert classify_controlled(sys, tol=1e-12).is_frame is is_frame
+    bounds = classify_controlled(sys, tol=1e-15).bounds
+    assert (bounds.lower, bounds.upper) == pytest.approx((1e-13, 1.0), rel=1e-15)
 
 
 def test_controlled_duality_one_sided():
@@ -285,18 +297,22 @@ def test_controlled_duality_one_sided():
     assert not check_controlled_duality(sys, ORTHO_2)
 
 
-@pytest.mark.parametrize("k", [5, 6, 7])
-def test_solvers_gate_where_classify_does_at_1e_12(k):
+@pytest.mark.parametrize(
+    "k, tol",
+    [pytest.param(k, 1e-12, id=str(k)) for k in (5, 6, 7)]
+    + [pytest.param(k, DEFAULT_TOL, id=f"{k}-default-tol") for k in (5, 6, 7)],
+)
+def test_solvers_gate_where_classify_does_at_1e_12(k, tol):
     # Frame operator diag(1, 10^-2k), exactly 1e-12 at k = 6: the dual raises
-    # exactly where classify at tol 1e-12 finds no frame.
+    # exactly where classify at the same tol finds no frame.
     frame = VectorFrame(2, (np.array([1.0, 0.0]), np.array([0.0, 10.0**-k])))
-    is_frame = classify_frame(frame, tol=1e-12).is_frame
-    assert is_frame == (k == 5)
+    is_frame = classify_frame(frame, tol=tol).is_frame
+    assert is_frame == (k == 5 and tol == 1e-12)
     if is_frame:
-        canonical_dual(frame)
+        canonical_dual(frame, tol=tol)
     else:
         with pytest.raises(NotPositiveDefinite):
-            canonical_dual(frame)
+            canonical_dual(frame, tol=tol)
 
 
 # ---------------------------------------------------------------------------

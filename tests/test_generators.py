@@ -149,6 +149,10 @@ def test_prescribed_rejects_bad_targets():
     spec = GenSpec(2, (1, 1), seed=0, kind="prescribed_operator")
     with pytest.raises(NotPositiveDefinite):
         gen_bi_g_frame(spec, np.diag([1.0, -1.0]))
+    # Gated as a pair operator at DEFAULT_TOL: condition 1e10 is not a frame there.
+    with pytest.raises(NotPositiveDefinite):
+        gen_bi_g_frame(spec, np.diag([1.0, 1e-10]))
+    assert classify_bi_g_frame(gen_bi_g_frame(spec, np.diag([1.0, 1e-8]))).is_frame
     with pytest.raises(NotHermitian, match="target deviation"):
         gen_bi_g_frame(spec, np.array([[1.0, 1e-3], [0.0, 1.0]]))
     with pytest.raises(ShapeMismatch):

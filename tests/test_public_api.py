@@ -29,8 +29,8 @@ PUBLIC_NAMES = [
     "BiGFrameSystem", "ClassifyReport", "CoefficientSequence", "ConstraintViolated",
     "ControlledSystem", "DEFAULT_TOL", "FrameBounds", "FrameToolError",
     "GFrameSystem", "GenSpec", "KINDS", "NotBiGFrame", "NotHermitian",
-    "NotInvertibleController", "NotPositiveDefinite", "NotSquare", "SchemaError",
-    "ShapeMismatch", "VectorFrame", "as_matrix", "as_vector", "bi_g_frame_operator",
+    "NotPositiveDefinite", "NotSquare", "SchemaError", "ShapeMismatch", "VectorFrame",
+    "as_matrix", "as_vector", "bi_g_frame_operator",
     "canonical_dual", "canonical_pair", "check_controlled_duality", "check_duality",
     "classify_bi_g_frame", "classify_biframe", "classify_controlled", "classify_frame",
     "classify_g_frame", "coefficient_identity_terms", "frame_operator",
@@ -148,13 +148,16 @@ def test_only_kernel_takes_spectra_and_factors():
                   for a in node.names}
         if path.stem != "kernel":
             assert not names & {"eigvalsh", "cholesky"}, path.stem
+        # The one other factorization floors a drawn family's singular values.
+        if path.stem != "generators":
+            assert "svd" not in names, path.stem
 
 
 def test_verdicts_go_through_one_core():
     # Outside the kernel only the pair core (bigframes._classify) and the target
     # check of gen_bi_g_frame read a spectral report directly.
     package = Path(bgframes.__file__).parent
-    readers = set()
+    readers, gate_tols = set(), set()
     for path in package.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -163,7 +166,17 @@ def test_verdicts_go_through_one_core():
                   for a in node.names}
         if "_spectral_report" in names and path.stem != "kernel":
             readers.add(path.stem)
+        # Every gate reads the caller's tol, or the package default where there is none.
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "_classify", "_spectral_report"
+            ):
+                tol = node.args[1] if len(node.args) > 1 else next(
+                    k.value for k in node.keywords if k.arg == "tol"
+                )
+                gate_tols.add(ast.unparse(tol))
     assert readers == {"bigframes", "generators"}
+    assert gate_tols == {"tol", "DEFAULT_TOL"}
 
 
 def test_the_hermitian_part_is_formed_in_one_place():
