@@ -55,10 +55,10 @@ def classify_frame(frame: VectorFrame, tol: float = DEFAULT_TOL) -> ClassifyRepo
     return classify_g_frame(_functionals(frame), tol)
 
 
-def canonical_dual(frame: VectorFrame, tol: float = DEFAULT_TOL) -> VectorFrame:
+def canonical_dual(frame: VectorFrame) -> VectorFrame:
     """The family ``{S^-1 f_j}``; raises ``NotPositiveDefinite`` exactly where
-    ``classify_frame(frame, tol)`` finds no frame."""
-    factor = CholeskyFactor.of(*_classify(from_vector_biframe(frame, frame), tol))
+    ``classify_frame(frame)`` finds no frame, at ``DEFAULT_TOL``."""
+    factor = CholeskyFactor.of(*_classify(from_vector_biframe(frame, frame), DEFAULT_TOL))
     duals = factor.solve(synthesis_matrix(frame))
     return VectorFrame(frame.dim, tuple(duals[:, j] for j in range(duals.shape[1])))
 

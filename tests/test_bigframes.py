@@ -516,7 +516,7 @@ def test_block_shape_messages_stay_short():
 # one tolerance, read the same way by every gate
 
 
-# S = diag(1, 1e-13): a frame at tol=1e-15, below the solver's 1e-12 default.
+# S = diag(1, 1e-13): a frame at tol=1e-15 but not at 1e-12.
 TINY_EDGE = BiGFrameSystem(
     GFrameSystem(2, (np.diag([1.0, 1e-13]),)), GFrameSystem(2, (np.eye(2),))
 )

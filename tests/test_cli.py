@@ -193,7 +193,7 @@ def test_tol_env_variable_is_ignored(capsys, monkeypatch, instance_a_file):
 
 
 def test_check_small_tol_gives_a_verdict(capsys, tmp_path):
-    # S = diag(1, 1e-13) is a frame at --tol 1e-15, below the solver's 1e-12 default.
+    # S = diag(1, 1e-13) is a frame at --tol 1e-15 but not at 1e-12.
     pair = BiGFrameSystem(
         GFrameSystem(2, (np.diag([1.0, 1e-13]),)),
         GFrameSystem(2, (np.eye(2),)),

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bgframes import (
-    DEFAULT_TOL,
     ControlledSystem,
     NotPositiveDefinite,
     ShapeMismatch,
@@ -165,14 +164,6 @@ def test_canonical_dual_rejects_non_frame():
         canonical_dual(VectorFrame(2, (np.array([1.0, 0.0]),)))
 
 
-def test_canonical_dual_reads_tol():
-    # Frame operator diag(1, 1e-13): a frame at tol 1e-15, so it has a dual there.
-    frame = VectorFrame(2, (np.array([1.0, 0.0]), np.array([0.0, 10.0**-6.5])))
-    assert classify_frame(frame, tol=1e-15).is_frame
-    dual = canonical_dual(frame, tol=1e-15)
-    assert check_duality(frame, dual, 1e-15)
-
-
 def test_check_duality_swap_is_not_dual():
     swapped = VectorFrame(2, (np.array([0.0, 1.0]), np.array([1.0, 0.0])))
     assert not check_duality(ORTHO_2, swapped)
@@ -284,7 +275,8 @@ def test_controller_ratio_boundary():
     for c, is_frame in ((1e-11, True), (1e-13, False)):
         sys = ControlledSystem(ORTHO_2, np.diag([1.0, c]))
         assert classify_controlled(sys, tol=1e-12).is_frame is is_frame
-    bounds = classify_controlled(sys, tol=1e-15).bounds
+    tiny = ControlledSystem(ORTHO_2, np.diag([1.0, 1e-13]))
+    bounds = classify_controlled(tiny, tol=1e-15).bounds
     assert (bounds.lower, bounds.upper) == pytest.approx((1e-13, 1.0), rel=1e-15)
 
 
@@ -297,22 +289,16 @@ def test_controlled_duality_one_sided():
     assert not check_controlled_duality(sys, ORTHO_2)
 
 
-@pytest.mark.parametrize(
-    "k, tol",
-    [pytest.param(k, 1e-12, id=str(k)) for k in (5, 6, 7)]
-    + [pytest.param(k, DEFAULT_TOL, id=f"{k}-default-tol") for k in (5, 6, 7)],
-)
-def test_solvers_gate_where_classify_does_at_1e_12(k, tol):
-    # Frame operator diag(1, 10^-2k), exactly 1e-12 at k = 6: the dual raises
-    # exactly where classify at the same tol finds no frame.
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_solvers_gate_where_classify_does_at_1e_12(k):
+    # Frame operator diag(1, 10^-2k), exactly 1e-12 at k = 6: classify at tol
+    # 1e-12 finds a frame only at k = 5. The dual gates where classify_frame
+    # does at the default tol, which finds no frame for any of them.
     frame = VectorFrame(2, (np.array([1.0, 0.0]), np.array([0.0, 10.0**-k])))
-    is_frame = classify_frame(frame, tol=tol).is_frame
-    assert is_frame == (k == 5 and tol == 1e-12)
-    if is_frame:
-        canonical_dual(frame, tol=tol)
-    else:
-        with pytest.raises(NotPositiveDefinite):
-            canonical_dual(frame, tol=tol)
+    assert classify_frame(frame, tol=1e-12).is_frame == (k == 5)
+    assert not classify_frame(frame).is_frame
+    with pytest.raises(NotPositiveDefinite):
+        canonical_dual(frame)
 
 
 # ---------------------------------------------------------------------------
