@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConstraintViolated, NotBiGFrame, ShapeMismatch
+from .errors import ConstraintViolated, ShapeMismatch
 from .gframes import (
     CoefficientSequence,
     GFrameSystem,
@@ -36,6 +36,7 @@ from .kernel import (
     DEFAULT_TOL,
     CholeskyFactor,
     ClassifyReport,
+    _refusal,
     _spectral_report,
     inner,
 )
@@ -103,17 +104,9 @@ def _prepare(sys: BiGFrameSystem, tol: float) -> tuple:
 
 
 def _factor(report: ClassifyReport, factor: CholeskyFactor | None) -> CholeskyFactor:
-    """``factor``; raises ``NotBiGFrame`` unless the pair is a bi-g-frame, naming
-    the gate that decided: the Hermitian deviation or the spectrum edges."""
+    """``factor``; raises :func:`_refusal` of ``report`` unless the pair is a bi-g-frame."""
     if factor is None:
-        if report.is_bessel:
-            lo, hi = report._edges
-            reason = f"smallest eigenvalue {lo:.3e} (largest {hi:.3e})"
-        else:
-            reason = f"hermitian deviation {report.hermitian_deviation:.3e}"
-        raise NotBiGFrame(
-            f"pair is not a bi-g-frame: {reason}, tol {report.tolerance:.3e}", report=report
-        )
+        raise _refusal(report)
     return factor
 
 
@@ -231,7 +224,8 @@ def coefficient_identity_terms(
     on the lambda side. Both dual terms need only ``Lt_j f = Lambda_j y``
     and ``Gt_j f = Gamma_j y`` with ``y = H^-1 f``, so one solve serves
     them. Returns ``(lhs, rhs)`` as (float, complex); raises ``ConstraintViolated``
-    when ``||Gamma^H g - f|| > tol (||Gamma||_F ||g|| + ||f||)`` (``Lambda`` on that side).
+    when ``||Gamma^H g - f|| > tol (||Gamma||_F ||g|| + ||f||)`` (``Lambda`` on that side),
+    and ``LinAlgError`` when ``||g||^2`` overflows.
     """
     return _coefficient_identity_terms(sys, f, [g], side, tol)[0]
 
@@ -242,6 +236,8 @@ def _coefficient_identity_terms(sys: BiGFrameSystem, f, gs, side: str, tol: floa
     _, synthesis = _families(sys, side)
     v = _check_vector(sys, f)
     lhs = [g.norm_sq() for g in gs]
+    if not np.isfinite(lhs).all():
+        raise np.linalg.LinAlgError("coefficient norm overflows")
     for g, norm_sq in zip(gs, lhs):
         residual = float(np.linalg.norm(g_synthesis(synthesis, g) - v))
         if residual > tol * (synthesis._frobenius * norm_sq**0.5 + np.linalg.norm(v)):

@@ -46,7 +46,7 @@ from .generators import (
     gen_negative,
 )
 from .gframes import CoefficientSequence
-from .kernel import DEFAULT_TOL
+from .kernel import DEFAULT_TOL, _unit_scaled
 
 _IDENTITY_SEED = 0
 
@@ -202,9 +202,9 @@ def _cmd_reconstruct(args) -> int:
     if not report.is_frame:
         return _negative(doc, report)
     rebuilt = _reconstruct(pair, vectors, args.variant, doc["tolerance"])
-    # Relative to each vector's norm (a zero vector's: absolute), gated as backward errors.
-    residuals = [float(np.linalg.norm(r - v)) / (float(np.linalg.norm(v)) or 1.0)
-                 for r, v in zip(rebuilt, vectors)]
+    # Backward errors relative to each vector's norm (absolute for zero), scaled by its peak.
+    residuals = [float(np.linalg.norm(d)) / (float(np.linalg.norm(s)) or 1.0)
+                 for s, d in (_unit_scaled(v, r - v) for r, v in zip(rebuilt, vectors))]
     scale = pair.lam._frobenius * pair.gam._frobenius * report.inverse_norm
     ok = all(r <= doc["tolerance"] * scale for r in residuals)
     doc.update(residuals=residuals, max_residual=max(residuals), ok=ok)

@@ -9,35 +9,30 @@ class NotSquare(FrameToolError):
     """A square matrix was required."""
 
 
-class NotHermitian(FrameToolError):
-    """Hermitian deviation exceeded the allowed tolerance."""
-
-
-class NotPositiveDefinite(FrameToolError):
-    """A Hermitian positive definite matrix was required.
-
-    Carries ``smallest_eigenvalue`` when it was computed.
-    """
-
-    def __init__(self, message, smallest_eigenvalue=None):
-        super().__init__(message)
-        self.smallest_eigenvalue = smallest_eigenvalue
-
-
-class ShapeMismatch(FrameToolError):
-    """Operands have incompatible shapes or index structure."""
-
-
 class NotBiGFrame(FrameToolError):
-    """An operation requiring a bi-g-frame was called on a pair that is not one.
-
-    Carries the ``report`` (a :class:`bgframes.kernel.ClassifyReport`) that
-    triggered the rejection, when available.
-    """
+    """An operator failed the frame gate, Hermitian positive definite within ``tol``; each
+    subclass names one gate. Carries the ``report`` (a :class:`bgframes.kernel.ClassifyReport`)
+    that decided."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+class NotHermitian(NotBiGFrame):
+    """The Hermitian deviation exceeded ``tol``: not even Bessel."""
+
+
+class NotPositiveDefinite(NotBiGFrame):
+    """Hermitian within ``tol``, but ``smallest_eigenvalue`` fails the spectrum gate."""
+
+    @property
+    def smallest_eigenvalue(self) -> float:
+        return self.report._edges[0]
+
+
+class ShapeMismatch(FrameToolError):
+    """Operands have incompatible shapes or index structure."""
 
 
 class ConstraintViolated(FrameToolError):

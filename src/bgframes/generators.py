@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bigframes import BiGFrameSystem, _classify, bi_g_frame_operator, classify_g_frame
-from .errors import NotHermitian, ShapeMismatch
+from .errors import ShapeMismatch
 from .gframes import GFrameSystem, stacked_analysis_matrix
 from .kernel import DEFAULT_TOL, CholeskyFactor, as_matrix, hermitian_deviation
-from .kernel import _require_definite, _spectral_report
+from .kernel import _refusal, _spectral_report
 
 KIND_RANDOM = "random_g_frame"
 KIND_PRESCRIBED = "prescribed_operator"
@@ -161,10 +161,8 @@ def gen_bi_g_frame(spec: GenSpec, target) -> BiGFrameSystem:
             "no positive definite pair operator is possible"
         )
     h, report = _spectral_report(p, DEFAULT_TOL, hermitian_gates_bessel=True)
-    if h is None:
-        dev = report.hermitian_deviation
-        raise NotHermitian(f"target deviation {dev:.3e} exceeds {DEFAULT_TOL:.3e}")
-    _require_definite(report)
+    if not report.is_frame:
+        raise _refusal(report)
     lam = _floored_family(_stream(spec.seed), spec.block_dims, n)
     return _pair_with_target(lam, h)
 

@@ -1,5 +1,5 @@
-"""Dense complex-matrix primitives: Hermitian deviation, the spectral report
-every verdict is read from, and the PD factor, which that report gates.
+"""Dense complex-matrix primitives: Hermitian deviation, the spectral report every
+verdict is read from, the one error for a failed gate, and the PD factor it gates.
 
 Everything downstream (frame layers, generators, CLI) goes through this module
 for its numerics. All functions are pure; inputs are validated and coerced to
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, NotSquare, ShapeMismatch
+from .errors import NotBiGFrame, NotHermitian, NotPositiveDefinite, NotSquare, ShapeMismatch
 
 #: Package-wide default relative tolerance for verdicts and residual checks.
 DEFAULT_TOL = 1e-9
@@ -61,13 +61,16 @@ def hermitian_deviation(m) -> float:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise NotSquare(f"deviation needs a square matrix, got {a.shape}")
-    peak = float(np.maximum(np.abs(a.real), np.abs(a.imag)).max())
-    if peak == 0.0:
-        return 0.0
-    # An exact power-of-two scale keeps the norms' squares from underflow and overflow.
-    e = -np.frexp(peak)[1]
-    a = np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e)
-    return float(np.linalg.norm(a - a.conj().T) / np.linalg.norm(a))
+    (a,) = _unit_scaled(a)
+    norm = np.linalg.norm(a)
+    return float(np.linalg.norm(a - a.conj().T) / norm) if norm else 0.0
+
+
+def _unit_scaled(a: np.ndarray, *others) -> list:
+    """``a`` and ``others`` times the power of two that puts ``a``'s largest real or imaginary
+    part in [0.5, 1) (1 for a zero ``a``): an exact scale, under which ``||a||^2`` is in range."""
+    e = -np.frexp(np.maximum(np.abs(a.real), np.abs(a.imag)).max())[1]
+    return [np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e) for x in (a, *others)]
 
 
 @dataclass(frozen=True)
@@ -137,13 +140,18 @@ def _spectral_report(op: np.ndarray, tol: float, hermitian_gates_bessel: bool) -
     )
 
 
-def _require_definite(report: ClassifyReport) -> None:
-    """Raise ``NotPositiveDefinite`` unless the Bessel ``report`` passed the frame gate."""
-    if not report.is_frame:
-        lo, hi = report._edges
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite: smallest eigenvalue {lo:.6e} (largest {hi:.6e})", lo
-        )
+def _refusal(report: ClassifyReport) -> NotBiGFrame:
+    """The error for a ``report`` that failed the frame gate, naming the gate that decided:
+    ``NotHermitian`` when it is not Bessel, else ``NotPositiveDefinite``."""
+    tol = report.tolerance
+    if not report.is_bessel:
+        dev = report.hermitian_deviation
+        return NotHermitian(f"hermitian deviation {dev:.3e}, tol {tol:.3e}", report)
+    lo, hi = report._edges
+    return NotPositiveDefinite(
+        f"not positive definite: smallest eigenvalue {lo:.3e} (largest {hi:.3e}), tol {tol:.3e}",
+        report,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +165,9 @@ class CholeskyFactor:
     @classmethod
     def of(cls, h: np.ndarray, report: ClassifyReport) -> "CholeskyFactor":
         """Factor the H that :func:`_spectral_report` returned with ``report``: raises
-        ``NotPositiveDefinite`` unless it passed the frame gate, ``LinAlgError`` on failure."""
-        _require_definite(report)
+        :func:`_refusal` unless it passed the frame gate, ``LinAlgError`` on failure."""
+        if not report.is_frame:
+            raise _refusal(report)
         with np.errstate(over="ignore", invalid="ignore"):
             l_inv = np.linalg.inv(np.linalg.cholesky(h))
             h_inv = l_inv.conj().T @ l_inv

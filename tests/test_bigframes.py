@@ -17,6 +17,8 @@ from bgframes import (
     GenSpec,
     GFrameSystem,
     NotBiGFrame,
+    NotHermitian,
+    NotPositiveDefinite,
     ShapeMismatch,
     VectorFrame,
     bi_g_frame_operator,
@@ -247,6 +249,32 @@ def test_not_bi_g_frame_names_the_gate_that_decided():
     with pytest.raises(NotBiGFrame, match="hermitian deviation") as excinfo:
         canonical_pair(NONHERM)
     assert "eigenvalue" not in str(excinfo.value)
+    # Every pair function refuses through the one gate, as the subclass that names it.
+    for pair, error in ((rank_deficient, NotPositiveDefinite), (NONHERM, NotHermitian)):
+        g = CoefficientSequence.from_flat(np.ones(pair.gam.total_block_dim), pair.block_dims)
+        f = g_synthesis(pair.gam, g)
+        for call in (
+            lambda: canonical_pair(pair),
+            lambda: reconstruct(pair, f, 1),
+            lambda: solve_synthesis_coefficients(pair, f, "gamma"),
+            lambda: coefficient_identity_terms(pair, f, g, "gamma"),
+        ):
+            with pytest.raises(error) as excinfo:
+                call()
+            assert isinstance(excinfo.value, NotBiGFrame)
+            assert excinfo.value.report is classify_bi_g_frame(pair)
+
+
+def test_an_overflowing_coefficient_norm_is_a_numerical_failure():
+    # ||g||^2 of the particular coefficients of e1 * 2^520 is beyond the double range.
+    pair = gen_bi_g_frame(
+        GenSpec(7, (3, 5, 2), 4, "prescribed_operator"), random_hermitian_pd(7, seed=9)
+    )
+    f = 2.0**520 * np.eye(7, dtype=np.complex128)[0]
+    for side in ("gamma", "lambda"):
+        particular, _ = solve_synthesis_coefficients(pair, f, side)
+        with pytest.raises(np.linalg.LinAlgError, match="coefficient norm overflows"):
+            coefficient_identity_terms(pair, f, particular, side)
 
 
 def test_reconstruct_instance_a(instance_a):

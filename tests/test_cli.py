@@ -574,6 +574,49 @@ def test_reconstruct_missing_its_rounding_bound_is_a_numerical_failure(
     assert "Traceback" not in err
 
 
+def _prescribed_file(tmp_path, name, vector):
+    """The prescribed (7; 3,5,2) pair, seed 4, target seed 9, with ``vector`` as e1."""
+    pair = gen_bi_g_frame(
+        GenSpec(7, (3, 5, 2), 4, "prescribed_operator"), random_hermitian_pd(7, seed=9)
+    )
+    path = tmp_path / name
+    write_pair_file(path, pair, vectors={"e1": [vector]})
+    return str(path)
+
+
+@pytest.mark.parametrize("variant", ["1", "2"])
+@pytest.mark.parametrize("k", [-565, 530, 665, 1000])
+def test_reconstruct_residual_is_scale_safe(capsys, tmp_path, k, variant):
+    # Both norms of e1 * 2^k are taken after one exact scale by its peak, so its
+    # residual is e1's, bitwise. Unscaled, they under- or overflowed: [0] at
+    # 2^-565 and 2^530, and a non-finite residual (exit 2) from 2^665.
+    e1 = np.eye(7, dtype=np.complex128)[0]
+    residuals = []
+    for name, vector in (("unscaled.json", e1), ("scaled.json", 2.0**k * e1)):
+        path = _prescribed_file(tmp_path, name, vector)
+        code, out, err = run_cli(capsys, "reconstruct", path, "--pair", "L,G", "--vector", "e1",
+                                 "--variant", variant)
+        assert code == 0, err
+        residuals.append(json.loads(out)["residuals"])
+    assert residuals[1] == residuals[0] and residuals[0][0] > 0
+
+
+def test_identity_of_an_overflowing_coefficient_norm_is_a_numerical_failure(capsys, tmp_path):
+    # At e1 * 2^520, ||g||^2 is beyond the double range: a numerical failure (exit 3) on
+    # valid input, not an input error. At 2^510 it is in range.
+    e1 = np.eye(7, dtype=np.complex128)[0]
+    argv = ["--pair", "L,G", "--vector", "e1", "--perturb", "3"]
+    path = _prescribed_file(tmp_path, "p510.json", 2.0**510 * e1)
+    assert run_cli(capsys, "identity", path, *argv)[0] == 0
+    path = _prescribed_file(tmp_path, "p520.json", 2.0**520 * e1)
+    proc = subprocess.run([sys.executable, "-m", "bgframes.cli", "identity", path, *argv],
+                          capture_output=True, text=True, env=package_env(), timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "numerical failure" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("variant", ["1", "2"])
 def test_reconstruct_of_a_gram_pair_at_a_tight_tol_succeeds(capsys, tmp_path, variant):
     # The relative residual of e1 is above --tol 1e-16 here, and an absolute gate

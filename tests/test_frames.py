@@ -7,12 +7,14 @@ from bgframes import (
     ShapeMismatch,
     VectorFrame,
     canonical_dual,
+    canonical_pair,
     check_controlled_duality,
     check_duality,
     classify_biframe,
     classify_controlled,
     classify_frame,
     frame_operator,
+    from_vector_biframe,
     inner,
     synthesis_matrix,
 )
@@ -162,6 +164,20 @@ def test_canonical_dual_is_involution():
 def test_canonical_dual_rejects_non_frame():
     with pytest.raises(NotPositiveDefinite):
         canonical_dual(VectorFrame(2, (np.array([1.0, 0.0]),)))
+
+
+def test_a_refused_gram_pair_reads_the_same_from_dual_and_pair():
+    # Frame operator diag(1, 10^-13), not a frame at the default tol: the vector dual
+    # and the dual of the Gram pair refuse it with one class and one message.
+    small = 10.0**-6.5
+    frame = VectorFrame(2, (np.array([1.0, 0.0]), np.array([0.0, small])))
+    with pytest.raises(NotPositiveDefinite) as vector:
+        canonical_dual(frame)
+    with pytest.raises(NotPositiveDefinite) as pair:
+        canonical_pair(from_vector_biframe(frame, frame))
+    assert type(vector.value) is type(pair.value)
+    assert str(vector.value) == str(pair.value)
+    assert vector.value.smallest_eigenvalue == pair.value.smallest_eigenvalue == small**2
 
 
 def test_check_duality_swap_is_not_dual():

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from bgframes import (
+    DEFAULT_TOL,
+    BiGFrameSystem,
     GenSpec,
+    GFrameSystem,
+    NotBiGFrame,
     NotHermitian,
     NotPositiveDefinite,
     ShapeMismatch,
     bi_g_frame_operator,
+    canonical_pair,
     classify_bi_g_frame,
     classify_g_frame,
     gen_bi_g_frame,
@@ -153,12 +158,32 @@ def test_prescribed_rejects_bad_targets():
     with pytest.raises(NotPositiveDefinite):
         gen_bi_g_frame(spec, np.diag([1.0, 1e-10]))
     assert classify_bi_g_frame(gen_bi_g_frame(spec, np.diag([1.0, 1e-8]))).is_frame
-    with pytest.raises(NotHermitian, match="target deviation"):
+    with pytest.raises(NotHermitian, match="hermitian deviation"):
         gen_bi_g_frame(spec, np.array([[1.0, 1e-3], [0.0, 1.0]]))
     with pytest.raises(ShapeMismatch):
         gen_bi_g_frame(spec, np.eye(3))
     with pytest.raises(ShapeMismatch):
         gen_bi_g_frame(GenSpec(3, (1, 1), seed=0, kind="prescribed_operator"), np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [(np.diag([1.0, 1e-10]), NotPositiveDefinite), ([[1.0, 1e-3], [0.0, 1.0]], NotHermitian)],
+)
+def test_a_refused_target_reads_as_a_refused_pair(target, error):
+    # The pair (I, target*) has operator target: both refusals come from one gate.
+    spec = GenSpec(2, (1, 1), seed=0, kind="prescribed_operator")
+    with pytest.raises(error) as generated:
+        gen_bi_g_frame(spec, target)
+    assert isinstance(generated.value, NotBiGFrame)
+    assert generated.value.report.tolerance == DEFAULT_TOL
+    pair = BiGFrameSystem(
+        GFrameSystem(2, (np.eye(2),)), GFrameSystem(2, (np.conj(np.transpose(target)),))
+    )
+    with pytest.raises(error) as paired:
+        canonical_pair(pair)
+    assert str(generated.value) == str(paired.value)
+    assert generated.value.report == paired.value.report
 
 
 def test_rank_deficient_is_singular_but_hermitian():

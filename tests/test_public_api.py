@@ -179,6 +179,26 @@ def test_verdicts_go_through_one_core():
     assert gate_tols == {"tol", "DEFAULT_TOL"}
 
 
+def test_one_function_builds_every_frame_gate_refusal():
+    # kernel._refusal builds the error of every failed frame gate; the other
+    # modules raise what it returns.
+    def refusals(tree):
+        names = {"NotBiGFrame", "NotHermitian", "NotPositiveDefinite"}
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] in names]
+
+    package = Path(bgframes.__file__).parent
+    calls, in_refusal = {}, []
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls[path.stem] = len(refusals(tree))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name == "_refusal":
+                in_refusal += refusals(func)
+    assert {stem for stem, count in calls.items() if count} == {"kernel"}
+    assert len(in_refusal) == calls["kernel"] == 2
+
+
 def test_the_hermitian_part_is_formed_in_one_place():
     # _spectral_report forms H and returns it with the report it read, so the
     # factor, the pair core and the target check all take that one matrix;
